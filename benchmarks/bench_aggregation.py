@@ -22,7 +22,6 @@ Hard gates (process exit != 0 on failure):
 * under the honest crowd the two strategies must tie within tolerance
   — down-weighting honest workers may not cost accuracy;
 * the serving tier with a reliability aggregator is byte-identical
-  across worker counts (1 vs 4), across shard counts (0 vs 4), and
   across a crash/resume cycle vs straight-through: estimates, spend
   and the learned model state all match exactly.
 
@@ -121,7 +120,7 @@ def crowd_cell(
     }
 
 
-# -- serving-tier determinism gates -------------------------------------
+# -- serving-tier crash/resume gate --------------------------------------
 
 
 def make_serve_plan(b_prc: float, n1: int):
@@ -140,7 +139,7 @@ SERVE_REQUESTS = (
 )
 
 
-def drive_serve(plan, tmp: Path, label: str, crash: bool = False, **kwargs) -> dict:
+def drive_serve(plan, tmp: Path, label: str, crash: bool = False) -> dict:
     """Serve the fixed workload with a fresh reliability aggregator.
 
     With ``crash=True`` the engine serves only the first wave, writes a
@@ -157,7 +156,6 @@ def drive_serve(plan, tmp: Path, label: str, crash: bool = False, **kwargs) -> d
             checkpoint_dir=tmp / label,
             resume=resume,
             aggregator=make_aggregator("reliability", model=ReliabilityModel()),
-            **kwargs,
         )
         return engine, platform
 
@@ -234,26 +232,15 @@ def main() -> int:
                 f"{reliability:.6f} does not beat uniform {uniform:.6f}"
             )
 
-    # -- serving-tier determinism gates ---------------------------------
+    # -- serving-tier crash/resume gate ---------------------------------
     import tempfile
 
     serve_plan = make_serve_plan(b_prc=300.0, n1=24)
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
-        baseline = drive_serve(serve_plan, tmp, "w1", workers=1)
         assert_identical(
-            baseline,
-            drive_serve(serve_plan, tmp, "w4", workers=4),
-            "workers 1 vs 4",
-        )
-        assert_identical(
-            baseline,
-            drive_serve(serve_plan, tmp, "s4", workers=1, shards=4),
-            "shards 0 vs 4",
-        )
-        assert_identical(
-            baseline,
-            drive_serve(serve_plan, tmp, "resume", workers=1, crash=True),
+            drive_serve(serve_plan, tmp, "straight"),
+            drive_serve(serve_plan, tmp, "resume", crash=True),
             "resume vs straight-through",
         )
 
@@ -273,8 +260,7 @@ def main() -> int:
                 f"{cell['accuracy_per_cent']:>10.6f}"
             )
     lines.append(
-        "determinism: reliability serving identical across workers 1/4, "
-        "shards 0/4, and crash-resume"
+        "determinism: reliability serving identical across crash-resume"
     )
     write_report("bench_aggregation", "\n".join(lines))
 
@@ -300,8 +286,6 @@ def main() -> int:
                     "honest_tie": True,
                     "spam_reliability_wins": True,
                     "ring_reliability_wins": True,
-                    "workers_identical": True,
-                    "shards_identical": True,
                     "resume_identical": True,
                 },
             },

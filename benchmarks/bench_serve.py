@@ -19,15 +19,10 @@ Built-in correctness gates (hard failures, not just numbers):
   the batched :class:`~repro.serve.stream.BatchedValueStream` and the
   baseline through the scalar per-answer loop, this is also the
   batched-vs-scalar parity gate;
-* ``--workers 1`` and ``--workers 4`` produce identical reports and
-  identical ledger spend, fault-free **and** under an injected fault
-  profile;
 * at 50% overlap the spend reduction is at least 30%;
-* single-core throughput is at least ``SPEEDUP_FLOOR``× the committed
+* serving throughput is at least ``SPEEDUP_FLOOR``× the committed
   pre-vectorization baseline (hard gate in full mode, warn-only in
-  ``--quick`` — CI treats wall-clock as advisory);
-* on a multi-core host, ``--workers 4`` throughput is not below
-  ``--workers 1`` (skipped on single-core runners).
+  ``--quick`` — CI treats wall-clock as advisory).
 
 Results land in ``BENCH_serve.json`` at the repo root (CI's
 ``serve-smoke`` job and EXPERIMENTS.md quote it)::
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,7 +50,6 @@ from repro.durability import run_disq
 from repro.experiments.runner import make_query
 from repro.obs import Observability
 from repro.serve import CachedAnswerSource, QueryRequest, ServeEngine, saving_percent
-from repro.serve.faults import FaultProfile, RetryPolicy
 
 from common import recipes_domain, write_report
 
@@ -74,10 +67,6 @@ BASELINE_QPS = {"full": 19.309226330685757, "quick": 118.12716933025479}
 #: The vectorized hot path must clear this speedup over the scalar
 #: baseline on one core.
 SPEEDUP_FLOOR = 10.0
-
-#: Fault configuration for the faulted determinism gate.
-FAULTS = FaultProfile.uniform(0.08, latency_mean=0.05)
-RETRY = RetryPolicy(max_retries=3, base_delay=0.01)
 
 #: The 50%-overlap saving gate, with an explicit tolerance: measured
 #: savings are percentages derived from float spend totals, so the gate
@@ -121,31 +110,16 @@ def independent_run(plan, objects) -> tuple[dict, float]:
     return estimates, platform.ledger.spent_by_category["value"]
 
 
-def serve_run(
-    plan,
-    windows,
-    workers: int,
-    obs: Observability | None = None,
-    faulted: bool = False,
-):
+def serve_run(plan, windows, obs: Observability | None = None):
     """The same workload through the engine; (report, value spend)."""
     platform = fresh_platform(obs)
-    kwargs = {"faults": FAULTS, "retry": RETRY} if faulted else {}
-    with ServeEngine(platform, workers=workers, **kwargs) as engine:
+    with ServeEngine(platform) as engine:
         for index, window in enumerate(windows):
             engine.submit(
                 QueryRequest(f"q{index}", (TARGET,), tuple(window)), plan
             )
         report = engine.run()
     return report, platform.ledger.spent_by_category["value"]
-
-
-def comparable(report) -> dict:
-    """Report dict minus wall-clock fields (those legitimately vary)."""
-    payload = report.to_dict()
-    payload.pop("wall_seconds")
-    payload.pop("workers")
-    return payload
 
 
 def sweep_overlaps(plan, overlaps, m: int) -> list[dict]:
@@ -155,7 +129,7 @@ def sweep_overlaps(plan, overlaps, m: int) -> list[dict]:
         est_a, spend_a = independent_run(plan, window_a)
         est_b, spend_b = independent_run(plan, window_b)
         baseline = spend_a + spend_b
-        report, serve_spend = serve_run(plan, (window_a, window_b), workers=1)
+        report, serve_spend = serve_run(plan, (window_a, window_b))
         # Clamped: a zero-overlap run's saving is exactly 0%, never the
         # -1.1e-13 float-differencing noise an unclamped ratio reports.
         saving_pct = saving_percent(baseline, serve_spend)
@@ -186,87 +160,23 @@ def sweep_overlaps(plan, overlaps, m: int) -> list[dict]:
     return rows
 
 
-def check_determinism(plan, m: int, worker_counts=(1, 4)) -> dict:
-    """Same workload under several worker counts must match exactly.
+def measure_serving(plan, m: int) -> dict:
+    """Serve the 50%-overlap workload once; throughput and phase split.
 
-    Each run also records per-phase wall clock (``serve.purchase``,
-    ``serve.evaluate``, ...): the serial commit/accounting phases are
-    fixed cost at any worker count, so when ``--workers 4`` shows
-    little end-to-end speedup, the phase table says which serial slice
-    is the reason rather than leaving an unexplained flat line.
+    The per-phase wall clock (``serve.purchase``, ``serve.evaluate``,
+    ...) says which slice of the serial wave dominates.
     """
-    windows = overlap_windows(m, 0.5)
-    reference = None
-    reference_spend = None
-    throughput = {}
-    phases = {}
-    for workers in worker_counts:
-        obs = Observability.collecting()
-        started = time.perf_counter()
-        report, spend = serve_run(plan, windows, workers=workers, obs=obs)
-        throughput[f"workers_{workers}_wall_s"] = time.perf_counter() - started
-        phases[f"workers_{workers}"] = {
+    obs = Observability.collecting()
+    started = time.perf_counter()
+    report, _ = serve_run(plan, overlap_windows(m, 0.5), obs=obs)
+    return {
+        "wall_s": time.perf_counter() - started,
+        "qps": report.queries_per_second,
+        "phases": {
             path: round(seconds, 6)
             for path, seconds in obs.tracer.phase_seconds().items()
             if path.startswith("serve")
-        }
-        payload = comparable(report)
-        if reference is None:
-            reference, reference_spend = payload, spend
-        elif payload != reference or spend != reference_spend:
-            raise SystemExit(
-                f"FAIL: workers={workers} diverges from workers="
-                f"{worker_counts[0]}"
-            )
-        throughput[f"workers_{workers}_qps"] = report.queries_per_second
-    multi_core = (os.cpu_count() or 1) > 1
-    if multi_core and len(worker_counts) > 1:
-        solo = throughput[f"workers_{worker_counts[0]}_qps"]
-        multi = throughput[f"workers_{worker_counts[-1]}_qps"]
-        if multi < solo:
-            raise SystemExit(
-                f"FAIL: workers={worker_counts[-1]} throughput "
-                f"{multi:.1f} qps is below workers={worker_counts[0]} "
-                f"({solo:.1f} qps) on a {os.cpu_count()}-core host"
-            )
-    return {
-        "worker_counts": list(worker_counts),
-        "identical_reports": True,
-        "identical_spend": True,
-        "multi_core_scaling_checked": multi_core,
-        "phases": phases,
-        **throughput,
-    }
-
-
-def check_faulted_determinism(plan, m: int, worker_counts=(1, 4)) -> dict:
-    """The fault-injected purchase path must also be worker-count-proof.
-
-    The batched fault path (vectorized fault rolls + scalar replay of
-    faulted keys) shares nothing across keys, so reports and spend must
-    match the workers=1 reference exactly — degraded results, retry
-    counters and simulated latency included.
-    """
-    windows = overlap_windows(m, 0.5)
-    reference = None
-    reference_spend = None
-    for workers in worker_counts:
-        report, spend = serve_run(plan, windows, workers=workers, faulted=True)
-        payload = comparable(report)
-        if reference is None:
-            reference, reference_spend = payload, spend
-        elif payload != reference or spend != reference_spend:
-            raise SystemExit(
-                f"FAIL: faulted workers={workers} diverges from workers="
-                f"{worker_counts[0]}"
-            )
-    return {
-        "worker_counts": list(worker_counts),
-        "identical_reports": True,
-        "identical_spend": True,
-        "fault_rate": FAULTS.rates_for("value").timeout
-        + FAULTS.rates_for("value").abandon
-        + FAULTS.rates_for("value").garbage,
+        },
     }
 
 
@@ -283,8 +193,7 @@ def main() -> int:
 
     plan = make_plan(b_prc, n1)
     rows = sweep_overlaps(plan, overlaps, m)
-    determinism = check_determinism(plan, m)
-    faulted = check_faulted_determinism(plan, m)
+    throughput = measure_serving(plan, m)
 
     at_half = next(r for r in rows if r["jaccard_overlap"] == 0.5)
     if at_half["saving_pct"] < SAVING_FLOOR_PCT - SAVING_TOLERANCE_PCT:
@@ -295,10 +204,10 @@ def main() -> int:
         )
 
     baseline_qps = BASELINE_QPS["quick" if args.quick else "full"]
-    speedup = determinism["workers_1_qps"] / baseline_qps
+    speedup = throughput["qps"] / baseline_qps
     if speedup < SPEEDUP_FLOOR:
         message = (
-            f"workers=1 throughput {determinism['workers_1_qps']:.1f} qps "
+            f"serving throughput {throughput['qps']:.1f} qps "
             f"is {speedup:.1f}x the scalar baseline ({baseline_qps:.1f} "
             f"qps), below the {SPEEDUP_FLOOR:.0f}x floor"
         )
@@ -324,12 +233,10 @@ def main() -> int:
             f"{row['answers_saved']:>14d}"
         )
     lines.append(
-        f"determinism: workers {determinism['worker_counts']} identical "
-        f"(fault-free and faulted); saving gate at 50% overlap: "
-        f"{at_half['saving_pct']:.1f}% >= 30%"
+        f"saving gate at 50% overlap: {at_half['saving_pct']:.1f}% >= 30%"
     )
     lines.append(
-        f"throughput: {determinism['workers_1_qps']:.1f} qps on one core, "
+        f"throughput: {throughput['qps']:.1f} qps, "
         f"{speedup:.1f}x the scalar baseline ({baseline_qps:.1f} qps)"
     )
     write_report("bench_serve", "\n".join(lines))
@@ -347,8 +254,7 @@ def main() -> int:
                     "quick": args.quick,
                 },
                 "overlap_sweep": rows,
-                "determinism": determinism,
-                "faulted_determinism": faulted,
+                "throughput": throughput,
                 "gates": {
                     "saving_at_half_overlap_pct": at_half["saving_pct"],
                     "saving_floor_pct": SAVING_FLOOR_PCT,

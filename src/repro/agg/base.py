@@ -23,8 +23,8 @@ aggregation step pluggable:
     cross-attribute residual consistency (T-Crowd-style joint
     inference).  Needs worker-attributed answers.
 
-Determinism contract (load-bearing for workers-1==4, any shard count,
-and crash-resume byte-identity):
+Determinism contract (load-bearing for wave-batching independence and
+crash-resume byte-identity):
 
 * Weighted sums go through :func:`weighted_mean`, which uses
   :func:`math.fsum` — *exactly rounded*, hence permutation-invariant in
@@ -153,8 +153,8 @@ class HuberAggregator(Aggregator):
     """Huber M-estimator: IRLS around the median with MAD scale.
 
     A fixed iteration count and sorted canonical input keep it a pure
-    function of the answer multiset — deterministic at any worker or
-    shard count.
+    function of the answer multiset — deterministic however a wave
+    batches or orders its answers.
     """
 
     name = "huber"

@@ -41,6 +41,9 @@ from repro.errors import ConfigurationError
 #: v3: added the optional ``serve.shards`` (shard topology and cache
 #: balance) and ``serve.admission`` (front-door decision tally)
 #: subsections for the sharded serving tier with async admission.
+#: The ``serve.shards`` subsection is no longer written (the serving
+#: tier is unsharded) and no longer described; the ``serve`` section
+#: admits extra keys, so v3-v5 manifests that carry it still load.
 #: v4: added ``online.missing_terms`` (formula terms the evaluator had
 #: no answers for — previously dropped silently) and the optional
 #: ``agg`` section (reliability-weighted aggregation: workers observed,
@@ -188,22 +191,6 @@ MANIFEST_SCHEMA = {
                 "answers_purchased": {"type": "integer"},
                 "saved_cents": {"type": "number"},
                 "peak_queue_depth": {"type": "integer"},
-                "shards": {
-                    "type": "object",
-                    "required": ["count", "processes", "keys_by_shard"],
-                    "properties": {
-                        "count": {"type": "integer"},
-                        "processes": {"type": "boolean"},
-                        "keys_by_shard": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                        "answers_by_shard": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                    },
-                },
                 "admission": {
                     "type": "object",
                     "required": ["admitted", "degraded", "rejected"],
@@ -341,20 +328,6 @@ def serve_from_metrics(metrics) -> dict | None:
             "answers_lost": int(metrics.counter("serve.faults.lost")),
         },
     }
-    shard_count = int(gauges.get("serve.shards.count", 0))
-    if shard_count:
-        section["shards"] = {
-            "count": shard_count,
-            "processes": bool(gauges.get("serve.shards.processes", 0)),
-            "keys_by_shard": [
-                int(gauges.get(f"serve.shards.keys.{shard}", 0))
-                for shard in range(shard_count)
-            ],
-            "answers_by_shard": [
-                int(gauges.get(f"serve.shards.answers.{shard}", 0))
-                for shard in range(shard_count)
-            ],
-        }
     admission = {
         "admitted": int(metrics.counter("serve.admission.admit")),
         "degraded": int(metrics.counter("serve.admission.degrade")),

@@ -6,9 +6,10 @@ it needs.  This package adds the serving layer on top: an
 :class:`~repro.serve.report.QueryRequest` submissions, coalesces their
 value questions across queries, buys only what the shared
 :class:`~repro.serve.cache.AnswerCache` does not already hold, and
-evaluates queries concurrently — deterministically, for any worker
-count, thanks to pure per-key answer streams
-(:mod:`repro.serve.stream`).  See DESIGN.md §12.
+evaluates them in serial waves.  Answers are pure functions of their
+per-key coordinates (:mod:`repro.serve.stream`), so results depend only
+on what was asked, never on how a wave was scheduled.  See DESIGN.md
+§12.
 
 The resilience layer (DESIGN.md §13) makes the purchase path
 fault-injectable (:mod:`repro.serve.faults`) and the results
@@ -16,12 +17,9 @@ deadline/budget/fault-aware (:mod:`repro.serve.degrade`): a query the
 engine cannot fully serve comes back ``degraded`` with widened
 intervals and an honest completeness figure, never silently dropped.
 
-The scale-out layer (DESIGN.md §15) shards the cache and wave
-execution across key-hashed partitions — optionally forked OS
-processes — with byte-identical results at any shard count
-(:mod:`repro.serve.shard`), and puts an asyncio admission ladder in
-front of the engine queue (:mod:`repro.serve.admission`): admit,
-degrade to cache-only, or reject by queue depth and deadline headroom.
+The admission layer (DESIGN.md §15) puts an asyncio ladder in front of
+the engine queue (:mod:`repro.serve.admission`): admit, degrade to
+cache-only, or reject by queue depth and deadline headroom.
 """
 
 from repro.serve.admission import (
@@ -51,13 +49,6 @@ from repro.serve.report import (
     load_query_file,
     saving_percent,
 )
-from repro.serve.scheduler import BoundedScheduler
-from repro.serve.shard import (
-    ShardedAnswerCache,
-    ShardRouter,
-    shard_journal_name,
-    stable_shard,
-)
 from repro.serve.stream import BatchedValueStream, DeterministicValueStream
 
 __all__ = [
@@ -71,7 +62,6 @@ __all__ = [
     "AnswerCache",
     "AsyncAdmission",
     "BatchedValueStream",
-    "BoundedScheduler",
     "CacheReadSource",
     "CachedAnswerSource",
     "DegradedResult",
@@ -84,8 +74,6 @@ __all__ = [
     "ResilientValueStream",
     "ServeEngine",
     "ServeReport",
-    "ShardRouter",
-    "ShardedAnswerCache",
     "TermShortfall",
     "admit_and_serve",
     "evidence_confidence",
@@ -93,8 +81,6 @@ __all__ = [
     "load_query_file",
     "percentile",
     "saving_percent",
-    "shard_journal_name",
-    "stable_shard",
     "widened_interval",
     "zipf_weights",
 ]

@@ -10,26 +10,27 @@ and runs four phases:
    answer count any query demands.  Concurrent queries touching the
    same key coalesce into a single purchase of the maximum shortfall —
    the cross-query batching this engine exists for.
-2. **Generation** (parallel, pure).  Produce the shortfall answers
-   through the :class:`~repro.serve.stream.DeterministicValueStream`
-   (fault-free) or the :class:`~repro.serve.faults.
-   ResilientValueStream` (fault-injected).  Every answer — and every
-   fault roll, retry and worker redraw around it — is a pure function
-   of ``(seed, object, attribute, index, attempt)`` plus the frozen
-   quarantine snapshot taken in phase 1, so this phase is
-   embarrassingly parallel and identical under any worker count.
+2. **Generation** (pure).  Produce every shortfall answer in one
+   batched call: :meth:`~repro.serve.stream.BatchedValueStream.
+   answers_many` (fault-free) or :meth:`~repro.serve.faults.
+   ResilientValueStream.purchase_batch` (fault-injected).  Every
+   answer — and every fault roll, retry and worker redraw around it —
+   is a pure function of ``(seed, object, attribute, index, attempt)``
+   plus the frozen quarantine snapshot taken in phase 1, so this phase
+   has no side effects and its output does not depend on where or in
+   what order it runs.
 3. **Commit** (serial, sorted key order).  Check affordability,
    journal each answer (and any lost-answer cursor advance)
    write-ahead, charge the platform ledger, and insert into the shared
    :class:`~repro.serve.cache.AnswerCache` — one key at a time, in
    sorted order, so ledger float accumulation and journal sequence
-   numbers never depend on thread scheduling.  Fault side effects
+   numbers are fixed by the key set alone.  Fault side effects
    (breaker outcomes, simulated latency, retry/abandon ledger events)
    are replayed here from the purchase logs, in the same canonical
    order.  A key the budget cannot cover is skipped entirely (its
    queries come back ``degraded``/``budget``); cheaper keys later in
    the order may still fit.
-4. **Evaluation** (parallel, read-only).  Each query runs the standard
+4. **Evaluation** (read-only).  Each query runs the standard
    :class:`~repro.core.online.OnlineEvaluator` over a
    :class:`~repro.serve.cache.CacheReadSource` — pure reads of the now
    frozen wave cache — and applies its predicate.  Deadlines are
@@ -39,11 +40,12 @@ and runs four phases:
    DegradedResult` — widened intervals, per-term shortfall,
    completeness — never a silent drop (DESIGN.md §13).
 
-The serial/parallel split *is* the determinism argument (see
-DESIGN.md §12): everything parallel is side-effect-free, everything
-side-effecting is serial in a canonical order.  Spend, savings,
-estimates and the journal are byte-identical across ``--workers 1``
-and ``--workers N``.
+The pure/serial split *is* the determinism argument (see DESIGN.md
+§12): generation and evaluation are side-effect-free, and everything
+side-effecting is serial in a canonical order.  The engine runs all of
+it on the calling thread; a future process tier could move the pure
+phases elsewhere without changing a byte of spend, savings, estimates
+or the journal, provided it keeps that rule.
 
 Backpressure: at most ``max_queue`` queries may be pending; submissions
 beyond that are **shed** — refused up front with a ``shed``/
@@ -92,12 +94,6 @@ from repro.serve.degrade import (
 )
 from repro.serve.faults import KeyPurchase, ResilientValueStream
 from repro.serve.report import QueryRequest, QueryResult, ServeReport
-from repro.serve.scheduler import BoundedScheduler
-from repro.serve.shard import (
-    ShardedAnswerCache,
-    ShardRouter,
-    shard_journal_name,
-)
 from repro.serve.stream import BatchedValueStream
 
 #: Journal and checkpoint filenames under the engine's checkpoint_dir
@@ -111,18 +107,27 @@ SERVE_CHECKPOINT = "serve.checkpoint.json"
 #: its injector), so enabling faults never perturbs answer values.
 _FAULT_SEED_MIX = 2654435761
 
+#: Per-partition journal files an older release wrote next to
+#: ``SERVE_JOURNAL``.  This engine writes and replays the flat journal
+#: only.
+_LEGACY_JOURNAL_GLOB = "serve.*.journal.jsonl"
 
-def _chunked(items: list, parts: int) -> list[list]:
-    """Split ``items`` into up to ``parts`` contiguous near-equal chunks."""
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks: list[list] = []
-    position = 0
-    for index in range(parts):
-        width = size + (1 if index < extra else 0)
-        chunks.append(items[position : position + width])
-        position += width
-    return chunks
+
+def _refuse_legacy_journals(directory: Path) -> None:
+    """Refuse to resume over journals this engine would not replay.
+
+    Answers recorded only in an older release's per-partition journals
+    were paid for; skipping those files would buy them again and break
+    zero re-purchase on resume.
+    """
+    legacy = sorted(directory.glob(_LEGACY_JOURNAL_GLOB))
+    if legacy:
+        raise ConfigurationError(
+            f"cannot resume from {directory}: it holds {legacy[0].name}, a "
+            f"per-partition serve journal from an older release that this "
+            f"engine does not replay; resume it with that release, or start "
+            f"from an empty checkpoint_dir"
+        )
 
 
 @dataclass
@@ -160,8 +165,9 @@ class ServeEngine:
         ``ask_value`` — answers come from its deterministic stream —
         but every cent flows through this platform's ledger.
     workers:
-        Thread count for the pure phases (generation, evaluation).
-        ``1`` is the serial reference execution.
+        Must be ``1``.  Kept so existing callers that pass
+        ``workers=1`` still construct an engine; the serving thread
+        pool was removed and every wave runs serially.
     max_queue:
         Backpressure bound: submissions beyond this many pending
         queries are shed.
@@ -230,8 +236,6 @@ class ServeEngine:
         fault_seed: int | None = None,
         chaos=None,
         shed_expired: bool = False,
-        shards: int = 0,
-        shard_processes: bool = False,
         aggregator: Aggregator | None = None,
         plan_source: Callable[[QueryRequest], Sequence[PreprocessingPlan]]
         | None = None,
@@ -245,14 +249,14 @@ class ServeEngine:
             raise ConfigurationError(f"wave_size must be positive, got {wave_size}")
         if resume and checkpoint_dir is None:
             raise ConfigurationError("resume requires a checkpoint_dir")
-        if shards < 0:
-            raise ConfigurationError(f"shards must be >= 0, got {shards}")
-        if shard_processes and not shards:
-            raise ConfigurationError("shard_processes requires shards >= 1")
+        if workers != 1:
+            raise ConfigurationError(
+                f"workers={workers} is not supported: the serving thread pool "
+                f"was removed and waves always run serially (use workers=1)"
+            )
         self.platform = platform
         self.obs = platform.obs
         self.plan_source = plan_source
-        self.scheduler = BoundedScheduler(workers)
         self.max_queue = max_queue
         self.wave_size = wave_size
         # The batched stream is a strict superset of the scalar one
@@ -278,26 +282,7 @@ class ServeEngine:
             if self.breaker is None:
                 self.breaker = WorkerCircuitBreaker()
             self.breaker.metrics = self.obs.metrics
-        # Sharded execution: the router owns per-shard streams (and
-        # fault streams) over the *same* seeds as the flat engine; the
-        # cache becomes a partitioned view with a flat snapshot.  Every
-        # coordinate stream is pure, so sharding is invisible to the
-        # report, spend and journal contents (DESIGN.md §15).
-        self.router: ShardRouter | None = None
-        self.cache: AnswerCache | ShardedAnswerCache
-        if shards:
-            self.router = ShardRouter(
-                platform,
-                shards,
-                self.stream.seed,
-                processes=shard_processes,
-                faults=faults,
-                retry=retry,
-                fault_seed=fault_seed,
-            )
-            self.cache = ShardedAnswerCache(shards, self.router.shard_of)
-        else:
-            self.cache = AnswerCache()
+        self.cache = AnswerCache()
         #: Per-key lost-answer counts: the value stream's cursor for a
         #: key is ``cache count + lost`` (lost indices were consumed by
         #: exhausted retries and must never be re-drawn).
@@ -319,8 +304,8 @@ class ServeEngine:
         # provenance bookkeeping; robust aggregators reshape the
         # evaluator; a reliability aggregator additionally records who
         # answered what (journal + cache worker tapes) and absorbs
-        # every committed span into its model, serially, so the learned
-        # state is identical under any worker or shard count.
+        # every committed span into its model, serially in sorted key
+        # order, so the learned state is a function of the answers alone.
         if aggregator is not None and aggregator.name == "uniform":
             aggregator = None
         self.aggregator = aggregator
@@ -331,43 +316,26 @@ class ServeEngine:
         #: Per-key answer counts already absorbed into the model.
         self._agg_seen: dict[CacheKey, int] = {}
         self.journal: Journal | None = None
-        self._shard_journals: list[Journal] = []
         self.checkpoints: CheckpointStore | None = None
         if checkpoint_dir is not None:
             directory = Path(checkpoint_dir)
             self.checkpoints = CheckpointStore(directory, SERVE_CHECKPOINT)
             if resume:
-                self._restore(directory)
-                # Merge *every* serve journal present — flat and
-                # per-shard — before opening this topology's own
-                # files, so a run can resume a crash that happened
-                # under a different shard count.
+                _refuse_legacy_journals(directory)
+                self._restore()
                 self._merge_journal_tail(directory)
-            if self.router is not None:
-                self._shard_journals = [
-                    Journal(directory / shard_journal_name(shard))
-                    for shard in range(self.router.n_shards)
-                ]
-            else:
-                self.journal = Journal(directory / SERVE_JOURNAL)
+            self.journal = Journal(directory / SERVE_JOURNAL)
 
     # -- durability ------------------------------------------------------
 
-    def _restore(self, directory: Path) -> None:
+    def _restore(self) -> None:
         """Load the last wave checkpoint, if any."""
         assert self.checkpoints is not None
         if not self.checkpoints.exists():
             return
         payload = self.checkpoints.load()
         self.platform.restore_state(payload["platform"])
-        if self.router is not None:
-            # Snapshots are flat and sorted, so a checkpoint written at
-            # any shard count (including unsharded) re-partitions here.
-            self.cache = ShardedAnswerCache.from_snapshot(
-                payload["cache"], self.router.n_shards, self.router.shard_of
-            )
-        else:
-            self.cache = AnswerCache.from_snapshot(payload["cache"])
+        self.cache = AnswerCache.from_snapshot(payload["cache"])
         faults = payload.get("faults")
         if faults is not None:
             self.fault_clock.restore_state(faults["clock"])
@@ -395,34 +363,25 @@ class ServeEngine:
             cached_answers=self.cache.total_answers,
         )
 
-    def _journal_paths(self, directory: Path) -> list[Path]:
-        """Every serve journal file present, flat first then by shard."""
-        paths = [directory / SERVE_JOURNAL]
-        paths.extend(sorted(directory.glob("serve.shard*.journal.jsonl")))
-        return [path for path in paths if path.exists()]
-
     def _merge_journal_tail(self, directory: Path) -> None:
         """Fold journaled answers beyond the checkpoint into the cache.
 
-        Answers are journaled write-ahead, so after a crash the journals
+        Answers are journaled write-ahead, so after a crash the journal
         may run ahead of the last checkpoint.  Those answers were paid
         for by the crashed run; re-charging them here (count × price,
         deterministic) makes the restored ledger and budget match the
         crashed run exactly, and the warm cache means they are never
         re-purchased.
 
-        The merge reads *every* serve journal in the directory — the
-        flat ``serve.journal.jsonl`` and any per-shard files — into one
-        per-key index→answer map, then applies keys in sorted order
-        (the same order the commit phase charges in).  Shards partition
-        the key space, so the per-shard files never conflict; a
-        topology change between runs only splits one key's contiguous
-        index range across files, and the merged map heals the split.
+        The journal is read into one per-key index→answer map, then
+        keys are applied in sorted order (the same order the commit
+        phase charges in).
         """
         values: dict[CacheKey, dict[int, float]] = {}
         workers: dict[CacheKey, dict[int, int]] = {}
         lost_totals: dict[CacheKey, int] = {}
-        for path in self._journal_paths(directory):
+        path = directory / SERVE_JOURNAL
+        if path.exists():
             for record in read_journal(path):
                 kind = record.get("kind")
                 if kind == "value":
@@ -432,7 +391,7 @@ class ServeEngine:
                     tape = values.setdefault(key, {})
                     if index in tape and tape[index] != answer:
                         raise JournalCorruptionError(
-                            f"serve journals disagree on {key!r}[{index}]"
+                            f"the serve journal disagrees on {key!r}[{index}]"
                         )
                     tape[index] = answer
                     worker = record.get("worker")
@@ -446,7 +405,7 @@ class ServeEngine:
             indexed = values[key]
             if sorted(indexed) != list(range(len(indexed))):
                 raise JournalCorruptionError(
-                    f"serve journals leave a gap in the tape for {key!r}"
+                    f"the serve journal leaves a gap in the tape for {key!r}"
                 )
             tape = [indexed[index] for index in range(len(indexed))]
             object_id, attribute = key
@@ -530,14 +489,9 @@ class ServeEngine:
         self._agg_seen[key] = total
 
     def close(self) -> None:
-        """Flush and close journals, join workers, stop shard processes."""
+        """Flush and close the journal."""
         if self.journal is not None:
             self.journal.close()
-        for journal in self._shard_journals:
-            journal.close()
-        if self.router is not None:
-            self.router.close()
-        self.scheduler.close()
 
     def __enter__(self) -> "ServeEngine":
         return self
@@ -676,7 +630,7 @@ class ServeEngine:
     def run(self) -> ServeReport:
         """Serve every admitted query; returns the aggregate report."""
         started = time.perf_counter()
-        with self.obs.tracer.span("serve", workers=self.scheduler.workers):
+        with self.obs.tracer.span("serve"):
             while self._queue:
                 size = self.wave_size or len(self._queue)
                 wave, self._queue = self._queue[:size], self._queue[size:]
@@ -694,31 +648,9 @@ class ServeEngine:
             coalesced_questions=self._coalesced,
             peak_queue_depth=self._peak_queue,
             wall_seconds=time.perf_counter() - started,
-            workers=self.scheduler.workers,
         )
         self.obs.metrics.gauge("serve.peak_queue_depth", self._peak_queue)
-        if self.router is not None:
-            # Shard topology and balance go to metrics (and from there
-            # the manifest's ``serve.shards`` section) — never into the
-            # report, which must stay byte-identical to the unsharded
-            # engine's.
-            metrics = self.obs.metrics
-            metrics.gauge("serve.shards.count", self.router.n_shards)
-            metrics.gauge("serve.shards.processes", int(self.router.process_mode))
-            cache = self.cache
-            if isinstance(cache, ShardedAnswerCache):
-                for shard, keys in enumerate(cache.keys_by_shard()):
-                    metrics.gauge(f"serve.shards.keys.{shard}", keys)
-                for shard, answers in enumerate(cache.answers_by_shard()):
-                    metrics.gauge(f"serve.shards.answers.{shard}", answers)
         return report
-
-    def _journal_for(self, key: CacheKey) -> Journal | None:
-        """The journal owning one key: the shard's file, or the flat one."""
-        if self._shard_journals:
-            assert self.router is not None
-            return self._shard_journals[self.router.shard_of_key(key)]
-        return self.journal
 
     def _price(self, attribute: str) -> float:
         price = self._price_of.get(attribute)
@@ -802,8 +734,8 @@ class ServeEngine:
             if demands[key] > pre_counts[key]
         ]
         # Frozen quarantine snapshot: worker exclusion is decided once
-        # per wave, serially, so the parallel generation phase stays a
-        # pure function under any worker count.
+        # per wave, before generation, so generation stays a pure
+        # function of its requests and this snapshot.
         blocked: frozenset[int] = frozenset()
         if self.resilient is not None and self.breaker is not None:
             blocked = frozenset(self.breaker.quarantined(self.fault_clock.now))
@@ -821,66 +753,28 @@ class ServeEngine:
         if independent > fresh_total:
             metrics.inc("serve.coalesced", independent - fresh_total)
 
-        # Phase 2 (parallel, pure): generate every shortfall answer.
-        # The fault-free branch is the byte-exact PR-5 path; the
-        # resilient branch purchases through per-attempt derived RNGs
-        # (see serve/faults.py) against the frozen quarantine snapshot.
+        # Phase 2 (pure): generate every shortfall answer in one batched
+        # call.  The fault-free branch draws straight from the
+        # per-coordinate stream; the resilient branch purchases through
+        # per-attempt derived RNGs (see serve/faults.py) against the
+        # frozen quarantine snapshot, starting past any lost indices.
         with self.obs.tracer.span(
             "serve.purchase", keys=len(shortfalls), answers=fresh_total
         ):
-            # Keys are chunked per *effective* worker (not one task per
-            # key, and never wider than the clamped pool): the per-task
-            # overhead of a thread-pool submission exceeds the per-key
-            # work, and the batched kernels amortize best over large
-            # contiguous request lists.  Chunking cannot affect results
-            # — every lane's draws come only from its own coordinate
-            # stream.
+            generated: list
             if self.resilient is None:
-                requests = [
-                    (key[0], key[1], start, count)
-                    for key, start, count in shortfalls
-                ]
-            else:
-                lost_before = self._lost
-                requests = [
-                    (
-                        key[0],
-                        key[1],
-                        start + lost_before.get(key, 0),
-                        count,
-                    )
-                    for key, start, count in shortfalls
-                ]
-            if self.router is not None:
-                # Sharded: each shard generates its own keys (threads
-                # or forked processes); reassembly is in request order,
-                # so the serial commit below is oblivious to sharding.
-                generated = self.router.generate(
-                    requests,
-                    self.scheduler,
-                    blocked=blocked,
-                    faulted=self.resilient is not None,
+                generated = self.stream.answers_many(
+                    [(key[0], key[1], start, count) for key, start, count in shortfalls]
                 )
-            elif self.resilient is None:
-                stream = self.stream
-                generated = [
-                    answers
-                    for batch in self.scheduler.run(
-                        stream.answers_many,
-                        _chunked(requests, self.scheduler.effective_workers),
-                    )
-                    for answers in batch
-                ]
             else:
-                resilient = self.resilient
-                generated = [
-                    purchase
-                    for batch in self.scheduler.run(
-                        lambda chunk: resilient.purchase_batch(chunk, blocked),
-                        _chunked(requests, self.scheduler.effective_workers),
-                    )
-                    for purchase in batch
-                ]
+                lost = self._lost
+                generated = self.resilient.purchase_batch(
+                    [
+                        (key[0], key[1], start + lost.get(key, 0), count)
+                        for key, start, count in shortfalls
+                    ],
+                    blocked,
+                )
             self._kill_point("serve.generate")
 
             # Phase 3 (serial, sorted key order): check affordability,
@@ -926,7 +820,7 @@ class ServeEngine:
                         worker_ids = self.stream.worker_ids(
                             object_id, attribute, start, obtained
                         )
-                journal = self._journal_for(key)
+                journal = self.journal
                 if journal is not None:
                     if worker_ids is not None:
                         for offset, answer in enumerate(answers):
@@ -1025,14 +919,11 @@ class ServeEngine:
                     virtual[key] = max(seen, min(count, available))
             pending.result = result
 
-        # Phase 4b (parallel, read-only): evaluate every query over the
-        # frozen wave cache and apply predicates/deadlines.
+        # Phase 4b (read-only): evaluate every query over the frozen
+        # wave cache and apply predicates/deadlines.
         read_source = CacheReadSource(self.cache)
         with self.obs.tracer.span("serve.evaluate", queries=len(wave)):
-            evaluated = self.scheduler.run(
-                lambda pending: self._evaluate(pending, read_source),
-                wave,
-            )
+            evaluated = [self._evaluate(pending, read_source) for pending in wave]
         for result in evaluated:
             if result.status == "degraded":
                 metrics.inc("serve.degraded")
@@ -1047,7 +938,7 @@ class ServeEngine:
 
         Called in sorted key order from the commit phase, so the
         simulated clock, breaker state, ledger events and fault
-        counters are identical under any worker count.
+        counters follow one canonical order.
         """
         metrics = self.obs.metrics
         if purchase.sim_seconds:
@@ -1159,7 +1050,7 @@ class ServeEngine:
     ) -> DegradedResult:
         """Build the degradation annotation for one degraded query.
 
-        Pure cache reads and arithmetic (safe inside the parallel
+        Pure cache reads and arithmetic (part of the read-only
         evaluation phase).  Intervals are widened per the module
         formula in :mod:`repro.serve.degrade`: each formula term
         contributes ``c²·s²/n`` (or a range prior at ``n = 0``), and

@@ -2,9 +2,10 @@
 
 The offline platform draws a fresh worker from a *shared* RNG for every
 question, which makes answers depend on global question order — fine
-for a serial research script, fatal for a concurrent serving engine
-that must give the same answers under ``--workers 1`` and
-``--workers 4``.  :class:`DeterministicValueStream` removes the shared
+for a serial research script, fatal for a serving engine that must give
+the same answers however its queries are batched into waves and
+whatever order it buys them in.  :class:`DeterministicValueStream`
+removes the shared
 state: answer ``i`` for ``(object, attribute)`` is a pure function of
 ``(seed, object_id, attribute, i)``.  Each answer derives its own
 :class:`numpy.random.Generator` from that tuple, draws a worker index

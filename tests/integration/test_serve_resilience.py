@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cli import EXIT_CONFIGURATION_ERROR, EXIT_CRASH, main
+from repro.obs.manifest import load_manifest
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults, pytest.mark.load]
 
@@ -160,32 +161,6 @@ class TestChaosMidWaveResume:
             pytest.approx(reference["spent_cents"])
         )
 
-    def test_faulted_reports_identical_across_workers(
-        self, tmp_path, queries_path
-    ):
-        def run(workers: int) -> dict:
-            out = tmp_path / f"w{workers}.json"
-            assert (
-                run_cli(
-                    BASE
-                    + [
-                        "--queries",
-                        queries_path,
-                        "--workers",
-                        workers,
-                        "--out",
-                        out,
-                    ]
-                )
-                == 0
-            )
-            payload = json.loads(out.read_text())
-            payload.pop("wall_seconds")
-            payload.pop("workers")
-            return payload
-
-        assert run(1) == run(4)
-
 
 class TestAdmissionValidation:
     @pytest.mark.parametrize(
@@ -212,3 +187,38 @@ class TestAdmissionValidation:
         ]
         assert run_cli(argv) == EXIT_CONFIGURATION_ERROR
         assert "configuration error" in capsys.readouterr().err
+
+    def test_resume_refuses_per_partition_journals(
+        self, tmp_path, queries_path, capsys
+    ):
+        # An older release journaled answers per key-hash partition;
+        # resuming over those files without replaying them would buy
+        # the journaled answers again.
+        checkpoint_dir = tmp_path / "ckpt"
+        checkpoint_dir.mkdir()
+        (checkpoint_dir / "serve.shard00.journal.jsonl").write_text("")
+        argv = BASE + [
+            "--queries",
+            queries_path,
+            "--checkpoint-dir",
+            checkpoint_dir,
+            "--resume",
+        ]
+        assert run_cli(argv) == EXIT_CONFIGURATION_ERROR
+        assert "serve.shard00.journal.jsonl" in capsys.readouterr().err
+        assert not (checkpoint_dir / "serve.journal.jsonl").exists()
+
+    def test_admission_front_door_end_to_end(self, tmp_path, queries_path):
+        manifest_path = tmp_path / "manifest.json"
+        argv = BASE + [
+            "--queries",
+            queries_path,
+            "--admit-reject-depth",
+            "64",
+            "--manifest",
+            manifest_path,
+        ]
+        assert run_cli(argv) == 0
+        serve = load_manifest(manifest_path)["serve"]
+        assert serve["admission"]["admitted"] == len(QUERIES["queries"])
+        assert "shards" not in serve

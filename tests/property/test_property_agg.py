@@ -7,7 +7,7 @@ The two load-bearing properties (DESIGN.md §16):
   keeps an honest crowd's estimates byte-stable when the strategy flips;
 * weighted aggregation with *unequal* weights is invariant under any
   permutation of the (value, worker) pairs — this is what keeps
-  workers-1==4 and any shard count byte-identical, because ``fsum`` is
+  results independent of answer arrival order, because ``fsum`` is
   exactly rounded over the product multiset.
 
 Plus the streaming model's split invariance: absorbing a tape in any

@@ -1,4 +1,4 @@
-"""Fast/lazy allocator parity and quality against the reference loop."""
+"""Fast allocator parity against the reference loop."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.budget import (
     find_budget_distribution,
     greedy_counts,
     greedy_counts_fast,
-    greedy_counts_lazy,
     greedy_counts_reference,
     max_explained_variance,
 )
@@ -101,24 +100,3 @@ class TestFastMatchesReference:
         objectives = [random_objective(2, seed=0)]
         with pytest.raises(ConfigurationError):
             greedy_counts(objectives, np.array([0.5, 0.5]), 1.0, method="best")
-
-
-class TestLazyQuality:
-    """The opt-in CELF path: approximate, but budget-safe and close."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_budget_respected_and_value_close(self, seed):
-        rng = np.random.default_rng(3000 + seed)
-        n = int(rng.integers(2, 7))
-        objectives = [random_objective(n, seed=4000 + seed)]
-        costs = rng.uniform(0.1, 1.0, n)
-        budget = float(rng.uniform(0.5, 2.5 * n))
-        lazy = greedy_counts_lazy(objectives, costs, budget)
-        assert (lazy >= 0).all()
-        assert lazy @ costs <= budget + 1e-9
-        greedy_value = max_explained_variance(
-            objectives, costs, budget, method="reference"
-        )
-        lazy_value = sum(o.value(lazy) for o in objectives)
-        # Not exact (the objective is not submodular) but never far off.
-        assert lazy_value >= 0.5 * greedy_value - 1e-9

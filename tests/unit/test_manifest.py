@@ -231,3 +231,23 @@ class TestDurabilitySection:
         manifest["durability"] = {"resumed": True}
         errors = manifest_errors(manifest)
         assert any("journal_records" in e for e in errors)
+
+
+class TestServeSection:
+    def test_older_manifest_with_shards_subsection_still_loads(self, tmp_path):
+        # v3-v5 manifests may carry the retired ``serve.shards``
+        # subsection; the serve section admits extra keys.
+        obs = Observability.collecting()
+        obs.metrics.inc("serve.queries", 2)
+        obs.metrics.inc("serve.completed", 2)
+        manifest = build_manifest("serve", obs)
+        assert "shards" not in manifest["serve"]
+        manifest["serve"]["shards"] = {
+            "count": 2,
+            "processes": False,
+            "keys_by_shard": [3, 4],
+            "answers_by_shard": [12, 16],
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert load_manifest(path)["serve"]["shards"]["count"] == 2

@@ -142,22 +142,6 @@ def fault_engine(tiny_domain, **kwargs):
 
 
 class TestEngineUnderFaults:
-    def test_identical_reports_across_worker_counts(self, tiny_domain):
-        def run(workers):
-            engine, platform = fault_engine(
-                tiny_domain, workers=workers, faults=HARSH
-            )
-            plan = identity_plan("target", 4)
-            engine.submit(QueryRequest("q1", ("target",), tuple(range(8))), plan)
-            engine.submit(QueryRequest("q2", ("target",), tuple(range(4, 12))), plan)
-            report = engine.run()
-            payload = report.to_dict()
-            payload.pop("wall_seconds")
-            payload.pop("workers")
-            return payload, platform.ledger.snapshot(), engine.fault_clock.now
-
-        assert run(1) == run(4)
-
     def test_disabled_profile_is_byte_identical_to_no_profile(self, tiny_domain):
         def run(faults):
             engine, platform = make_engine(tiny_domain, faults=faults)
@@ -168,7 +152,6 @@ class TestEngineUnderFaults:
             report = engine.run()
             payload = report.to_dict()
             payload.pop("wall_seconds")
-            payload.pop("workers")
             return payload, platform.ledger.snapshot()
 
         assert run(FaultProfile.none()) == run(None)
