@@ -174,16 +174,6 @@ class CrowdPlatform:
                 injector.metrics = sink
             if self.breaker is not None and getattr(self.breaker, "metrics", None) is None:
                 self.breaker.metrics = sink
-        #: Worker ids of the *freshly generated* answers of the current
-        #: value batch, in generation (= batch-position) order.  Batch
-        #: position ``i`` was produced by ``_batch_worker_ids[i -
-        #: _batch_fresh_base]``; replayed answers (``i`` below the
-        #: base) have no live worker behind them.  Keying by position —
-        #: not by answer value — keeps spam-rejection attribution
-        #: correct when two workers give the same value.
-        self._batch_worker_ids: list[int] = []
-        self._batch_fresh_base = 0
-
         # Surface form -> canonical resolution for ground-truth lookups.
         # This is intentionally independent of the (possibly imperfect)
         # normalizer: a worker who says "big" still *means* "large" even
@@ -311,21 +301,28 @@ class CrowdPlatform:
                 return self.pool.draw_avoiding(blocked)
         return self.pool.draw()
 
-    def _note_outcome(self, worker, fault: bool) -> None:
+    def _note_outcome(self, worker_id: int, fault: bool) -> None:
         if self.breaker is not None and self.clock is not None:
-            self.breaker.record_outcome(worker.worker_id, fault, self.clock.now)
+            self.breaker.record_outcome(worker_id, fault, self.clock.now)
 
     def _resilient_ask(self, category: str, produce, corrupt, validate):
-        """One question under fault injection: retry until a valid answer.
+        """One question: draw a worker and get a usable answer.
 
         ``produce(worker)`` generates the genuine answer, ``corrupt()``
         the garbage replacement, ``validate(answer)`` the usability
-        check.  Returns ``(answer, worker_id)``; raises
+        check.  Returns ``(answer, worker_id)``.
+
+        Without a fault injector this is a single attempt: no fault
+        roll, no clock, no validation — the fault-free path.  With one,
+        it retries until a valid answer per the retry policy and raises
         :class:`CrowdTimeoutError` / :class:`MalformedAnswerError` when
-        the retry policy is exhausted.
+        the policy is exhausted.
         """
-        policy = self.retry
         injector = self.faults
+        if injector is None:
+            worker = self.pool.draw()
+            return produce(worker), worker.worker_id
+        policy = self.retry
         last_error: Exception = CrowdTimeoutError(category, policy.max_attempts)
         for attempt in range(policy.max_attempts):
             if attempt:
@@ -338,39 +335,23 @@ class CrowdPlatform:
             self.clock.advance(outcome.latency)
             if outcome.kind is FaultKind.TIMEOUT:
                 self.clock.advance(policy.question_timeout)
-                self._note_outcome(worker, fault=True)
+                self._note_outcome(worker.worker_id, fault=True)
                 last_error = CrowdTimeoutError(category, attempt + 1)
                 continue
             if outcome.kind is FaultKind.ABANDON:
                 self.ledger.record_abandon(category)
-                self._note_outcome(worker, fault=True)
+                self._note_outcome(worker.worker_id, fault=True)
                 last_error = CrowdTimeoutError(category, attempt + 1)
                 continue
             answer = produce(worker)
             if outcome.kind is FaultKind.GARBAGE:
                 answer = corrupt()
             if validate(answer):
-                self._note_outcome(worker, fault=False)
+                self._note_outcome(worker.worker_id, fault=False)
                 return answer, worker.worker_id
-            self._note_outcome(worker, fault=True)
+            self._note_outcome(worker.worker_id, fault=True)
             last_error = MalformedAnswerError(category, answer)
         raise last_error
-
-    def _valid_value(self, answer: object, low: float, high: float) -> bool:
-        return plausible_value(answer, low, high)
-
-    def _resilient_value(self, object_id: int, canonical: str) -> tuple[float, int]:
-        low, high = self.domain.answer_range(canonical)
-        answer, worker_id = self._resilient_ask(
-            "value",
-            produce=lambda worker: worker.answer_value(
-                self.domain, object_id, canonical
-            ),
-            corrupt=lambda: self.faults.corrupt_value((low, high)),
-            validate=lambda a: self._valid_value(a, low, high),
-        )
-        self._batch_worker_ids.append(worker_id)
-        return float(answer), worker_id
 
     # ------------------------------------------------------------------
     # The four question types
@@ -403,25 +384,30 @@ class CrowdPlatform:
         self._check_affordable(cost)
         key = (object_id, attribute)
         start = self._value_cursor.get(key, 0)
-        if self.faults is None:
-            def generate() -> tuple[float, int]:
-                worker = self.pool.draw()
-                return (
-                    worker.answer_value(self.domain, object_id, canonical),
-                    worker.worker_id,
-                )
-        else:
-            # Fresh answers start where the recorder's tape currently
-            # ends; batch positions before that replay recorded answers
-            # and have no live worker behind them.
-            self._batch_worker_ids = []
-            self._batch_fresh_base = max(
-                self.recorder.recorded_value_count(object_id, attribute) - start,
-                0,
+        # Fresh answers start where the recorder's tape currently ends;
+        # batch positions before that replay recorded answers and have
+        # no live worker behind them.
+        batch_worker_ids: list[int] = []
+        fresh_base = max(
+            self.recorder.recorded_value_count(object_id, attribute) - start, 0
+        )
+
+        def produce(worker) -> float:
+            return worker.answer_value(self.domain, object_id, canonical, worker.rng)
+
+        def corrupt() -> object:
+            return self.faults.corrupt_value(self.domain.answer_range(canonical))
+
+        def validate(answer: object) -> bool:
+            return plausible_value(answer, *self.domain.answer_range(canonical))
+
+        def generate() -> tuple[float, int]:
+            answer, worker_id = self._resilient_ask(
+                "value", produce, corrupt, validate
             )
-            generate = lambda: self._resilient_value(  # noqa: E731
-                object_id, canonical
-            )
+            batch_worker_ids.append(worker_id)
+            return float(answer), worker_id
+
         answers, worker_ids = self.recorder.value_answers_attributed(
             object_id, attribute, start, n, generate
         )
@@ -436,18 +422,15 @@ class CrowdPlatform:
             if dropped:
                 self.obs.metrics.inc("crowd.spam.rejected", dropped)
             rejected = rejected_indices(list(answers), list(kept))
-            if self.faults is not None and self._batch_worker_ids:
-                # Spam rejections count as faults for the workers that
-                # produced them (quarantine input).  Attribution is by
-                # batch *position* — aligned with ``rejected_indices``
-                # — so two workers giving the same value can never be
-                # confused; replayed answers are left unattributed.
-                for index in rejected:
-                    position = index - self._batch_fresh_base
-                    if 0 <= position < len(self._batch_worker_ids):
-                        self.breaker.record_fault(
-                            self._batch_worker_ids[position], self.clock.now
-                        )
+            # Spam rejections count as faults for the workers that
+            # produced them (quarantine input).  Attribution is by batch
+            # *position* — aligned with ``rejected_indices`` — so two
+            # workers giving the same value can never be confused;
+            # replayed answers are left unattributed.
+            for index in rejected:
+                position = index - fresh_base
+                if 0 <= position < len(batch_worker_ids):
+                    self._note_outcome(batch_worker_ids[position], fault=True)
             dropped_set = set(rejected)
             worker_ids = [
                 wid for i, wid in enumerate(worker_ids) if i not in dropped_set
@@ -480,19 +463,12 @@ class CrowdPlatform:
         canonical = self.resolve(attribute)
         self._check_affordable(self.prices.dismantle)
         start = self._dismantle_cursor.get(attribute, 0)
-        if self.faults is None:
-            generate = lambda: self.pool.draw().answer_dismantle(  # noqa: E731
-                self.domain, canonical
-            )
-        else:
-            generate = lambda: self._resilient_ask(  # noqa: E731
-                "dismantle",
-                produce=lambda worker: worker.answer_dismantle(
-                    self.domain, canonical
-                ),
-                corrupt=self.faults.corrupt_token,
-                validate=lambda a: isinstance(a, str) and self.knows(a),
-            )[0]
+        generate = lambda: self._resilient_ask(  # noqa: E731
+            "dismantle",
+            produce=lambda worker: worker.answer_dismantle(self.domain, canonical),
+            corrupt=lambda: self.faults.corrupt_token(),
+            validate=lambda a: isinstance(a, str) and self.knows(a),
+        )[0]
         answers = self.recorder.dismantle_answers(attribute, start, 1, generate)
         self._dismantle_cursor[attribute] = start + 1
         self._charge("dismantle", self.prices.dismantle, 1)
@@ -509,19 +485,14 @@ class CrowdPlatform:
         self._check_affordable(self.prices.verification)
         key = (attribute, candidate)
         start = self._vote_cursor.get(key, 0)
-        if self.faults is None:
-            generate = lambda: self.pool.draw().answer_verification(  # noqa: E731
+        generate = lambda: self._resilient_ask(  # noqa: E731
+            "verification",
+            produce=lambda worker: worker.answer_verification(
                 self.domain, canonical_attribute, canonical_candidate
-            )
-        else:
-            generate = lambda: self._resilient_ask(  # noqa: E731
-                "verification",
-                produce=lambda worker: worker.answer_verification(
-                    self.domain, canonical_attribute, canonical_candidate
-                ),
-                corrupt=lambda: None,  # wrong-type (missing) vote
-                validate=lambda a: isinstance(a, bool),
-            )[0]
+            ),
+            corrupt=lambda: None,  # wrong-type (missing) vote
+            validate=lambda a: isinstance(a, bool),
+        )[0]
         votes = self.recorder.verification_votes(
             attribute, candidate, start, 1, generate
         )
@@ -564,19 +535,14 @@ class CrowdPlatform:
         canonical_targets = tuple(self.resolve(target) for target in targets)
         self._check_affordable(self.prices.example)
         start = self._example_cursor.get(targets, 0)
-        if self.faults is None:
-            generate = lambda: self.pool.draw().provide_example(  # noqa: E731
+        generate = lambda: self._resilient_ask(  # noqa: E731
+            "example",
+            produce=lambda worker: worker.provide_example(
                 self.domain, canonical_targets
-            )
-        else:
-            generate = lambda: self._resilient_ask(  # noqa: E731
-                "example",
-                produce=lambda worker: worker.provide_example(
-                    self.domain, canonical_targets
-                ),
-                corrupt=lambda: self._corrupt_example(canonical_targets),
-                validate=self._valid_example,
-            )[0]
+            ),
+            corrupt=lambda: self._corrupt_example(canonical_targets),
+            validate=self._valid_example,
+        )[0]
         records = self.recorder.examples(targets, start, 1, generate)
         self._example_cursor[targets] = start + 1
         self._charge("example", self.prices.example, 1)

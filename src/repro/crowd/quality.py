@@ -102,7 +102,7 @@ class GoldQuestionScreen:
     ) -> bool:
         """One gold question: does the worker's answer pass?"""
         object_id = domain.sample_object(self._rng)
-        answer = worker.answer_value(domain, object_id, attribute)
+        answer = worker.answer_value(domain, object_id, attribute, worker.rng)
         truth = domain.true_value(object_id, attribute)
         noise_sd = float(np.sqrt(domain.difficulty(attribute)))
         if domain.is_binary(attribute):

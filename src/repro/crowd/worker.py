@@ -11,6 +11,13 @@ The honest worker's value answer is ``truth + eps`` with
 the DisQ planner estimates coincide with the domain specification:
 ``E_O[Var(o.a^(1))] = difficulty(a)`` and the answer/target covariances
 equal the true-value covariances.
+
+Each worker type writes its value answer once, in ``answer_value``,
+and the caller supplies the random stream: the offline platform passes
+the worker's private generator, the serving tier a per-coordinate one
+(:mod:`repro.serve.stream`).  Every persistent per-worker effect (a
+biased worker's bias, a ring's shared error) is a pure function of
+seeds and names, so both callers see the same answer model.
 """
 
 from __future__ import annotations
@@ -21,60 +28,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.domains.base import IRRELEVANT, Domain
-
-
-def clip_binary(values: np.ndarray, binary) -> np.ndarray:
-    """In-place ``[0, 1]`` clip over all lanes (or a lane mask).
-
-    ``binary`` is ``True``/``False`` for a single-attribute batch, or a
-    boolean lane mask when lanes mix binary and continuous attributes.
-    Uses the same ufunc as the scalar ``np.clip`` call, so clipped
-    lanes are bit-identical to the scalar path.
-    """
-    if binary is True:
-        np.clip(values, 0.0, 1.0, out=values)
-    elif binary is not False:
-        np.clip(values, 0.0, 1.0, out=values, where=binary)
-    return values
-
-
-def honest_values(truths, noise_sds, normals, binary) -> np.ndarray:
-    """Vectorized :meth:`HonestWorker.answer_value_stateless` core.
-
-    ``truths + normal(0, sd)`` per lane, clipped on binary lanes.  The
-    ``+ 0.0`` mirrors ``Generator.normal``'s ``loc + scale * z`` (it
-    canonicalizes ``-0.0`` noise to ``+0.0``), keeping every lane
-    bit-identical to the scalar draw.
-    """
-    values = np.asarray(noise_sds, dtype=np.float64) * normals
-    values += 0.0
-    values += truths
-    return clip_binary(values, binary)
-
-
-def biased_shift(values, biases, binary) -> np.ndarray:
-    """Vectorized :class:`BiasedWorker` post-shift (in place).
-
-    Adds the persistent per-(worker, attribute) bias *after* the honest
-    clip and re-clips binary lanes — the same two-clip order as the
-    scalar path, which is observable when an answer saturates a bound.
-    Lanes with bias ``0.0`` (honest workers in a mixed batch) are
-    unchanged bit for bit: honest values are never ``-0.0`` (noise is
-    canonicalized and the clip bounds are positive zeros).
-    """
-    values += biases
-    return clip_binary(values, binary)
-
-
-def spam_values(lows, highs, uniforms) -> np.ndarray:
-    """Vectorized :meth:`SpamWorker.answer_value_stateless` core.
-
-    ``low + (high - low) * u`` per lane — the exact arithmetic of
-    ``Generator.uniform(low, high)``.
-    """
-    values = (np.asarray(highs, dtype=np.float64) - lows) * uniforms
-    values += lows
-    return values
 
 
 class Worker(ABC):
@@ -100,11 +53,34 @@ class Worker(ABC):
         #: is what makes per-worker quarantine effective.
         self.fault_proneness: float = 1.0
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The worker's private random stream.
+
+        The offline platform and the gold screen pass it to
+        :meth:`answer_value`; the serving tier passes a per-coordinate
+        generator instead.
+        """
+        return self._rng
+
     # -- the four question types ---------------------------------------
 
     @abstractmethod
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        """Estimate ``o.a`` for one object."""
+    def answer_value(
+        self,
+        domain: Domain,
+        object_id: int,
+        attribute: str,
+        rng: np.random.Generator,
+    ) -> float:
+        """Estimate ``o.a`` for one object, drawing from ``rng``.
+
+        The caller supplies the random stream: the worker's own
+        :attr:`rng` for the offline platform, or a generator derived
+        from ``(seed, object, attribute, index)`` for the serving
+        tier's per-coordinate streams.  Either way the answer model is
+        the same; only the source of randomness differs.
+        """
 
     @abstractmethod
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
@@ -128,46 +104,6 @@ class Worker(ABC):
         object_id = domain.sample_object(self._rng)
         values = {target: domain.true_value(object_id, target) for target in targets}
         return object_id, values
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        """Value answer drawn from a caller-supplied random stream.
-
-        The serving engine's per-key answer streams need answers that
-        are a pure function of ``(seed, object, attribute, index)`` —
-        independent of how concurrent purchases interleave — so this
-        variant must not touch the worker's private RNG (which is
-        shared mutable state).  The answer *distribution* matches
-        :meth:`answer_value`; only the source of randomness differs.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support stateless value answers"
-        )
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`answer_value_stateless` over one attribute.
-
-        ``variates`` are this worker type's raw unit draws — standard
-        normals for the honest family, unit uniforms for spammers —
-        already extracted from each lane's per-coordinate generator.
-        Must return bit-identical values to the scalar method lane by
-        lane; the batched stream only routes lanes here when the
-        worker's exact type is known to honour that contract.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched value answers"
-        )
 
     # -- helpers ---------------------------------------------------------
 
@@ -240,15 +176,11 @@ class HonestWorker(Worker):
         self.reliability = reliability
         self.synonym_rate = synonym_rate
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        truth = domain.true_value(object_id, attribute)
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-        answer = truth + self._rng.normal(0.0, noise_sd)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
+    def _noise_sd(self, domain: Domain, object_id: int, attribute: str) -> float:
+        """Standard deviation of this worker's answer noise on ``o.a``."""
+        return np.sqrt(self.skill * domain.difficulty(attribute))
 
-    def answer_value_stateless(
+    def answer_value(
         self,
         domain: Domain,
         object_id: int,
@@ -256,30 +188,12 @@ class HonestWorker(Worker):
         rng: np.random.Generator,
     ) -> float:
         truth = domain.true_value(object_id, attribute)
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-        answer = truth + rng.normal(0.0, noise_sd)
+        answer = truth + rng.normal(
+            0.0, self._noise_sd(domain, object_id, attribute)
+        )
         if domain.is_binary(attribute):
             answer = float(np.clip(answer, 0.0, 1.0))
         return float(answer)
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        truths = np.array(
-            [domain.true_value(int(oid), attribute) for oid in object_ids],
-            dtype=np.float64,
-        )
-        noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-        return honest_values(
-            truths,
-            noise_sd,
-            np.asarray(variates, dtype=np.float64),
-            bool(domain.is_binary(attribute)),
-        )
 
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
         distribution = domain.dismantle_distribution(attribute)
@@ -303,11 +217,11 @@ class HonestWorker(Worker):
 class BiasedWorker(HonestWorker):
     """An honest worker with a persistent additive bias per attribute.
 
-    The bias for each attribute is drawn once (per worker) as a normal
-    with standard deviation ``bias_scale`` times the worker-noise
-    standard deviation; it then shifts every value answer the worker
-    gives for that attribute.  This models systematic over/under
-    estimators, a second-order effect the paper's averaging absorbs.
+    The bias for each attribute is a normal with standard deviation
+    ``bias_scale`` times the worker-noise standard deviation; it shifts
+    every value answer the worker gives for that attribute.  This
+    models systematic over/under estimators, a second-order effect the
+    paper's averaging absorbs.
     """
 
     def __init__(
@@ -320,84 +234,37 @@ class BiasedWorker(HonestWorker):
         super().__init__(worker_id, seed, **kwargs)
         self.bias_scale = bias_scale
         self._biases: dict[str, float] = {}
-        self._stateless_biases: dict[str, float] = {}
 
-    def _bias(self, domain: Domain, attribute: str) -> float:
-        if attribute not in self._biases:
-            noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
-            self._biases[attribute] = float(
-                self._rng.normal(0.0, self.bias_scale * noise_sd)
-            )
-        return self._biases[attribute]
+    def bias(self, domain: Domain, attribute: str) -> float:
+        """The persistent bias for ``attribute`` (memoized).
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        answer = super().answer_value(domain, object_id, attribute)
-        answer += self._bias(domain, attribute)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        answer = super().answer_value_stateless(domain, object_id, attribute, rng)
-        answer += self.stateless_bias(domain, attribute)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def stateless_bias(self, domain: Domain, attribute: str) -> float:
-        """The stateless-path bias for ``attribute`` (memoized).
-
-        The persistent per-(worker, attribute) bias cannot come from
-        the lazily-advanced private RNG; it is derived from the
-        worker's seed and the attribute name so it is stable across
-        any purchase order (crc32, not hash(): hash() is
-        per-process).  The value is a pure function of the seed and
-        attribute, so memoizing it is free of ordering effects.
+        Derived from the worker's seed and the attribute name (crc32,
+        not hash(): hash() is per-process), never from a random stream,
+        so the offline platform and the serving tier see the same bias
+        whatever order the questions come in.
         """
-        cached = self._stateless_biases.get(attribute)
+        cached = self._biases.get(attribute)
         if cached is None:
             noise_sd = np.sqrt(self.skill * domain.difficulty(attribute))
             bias_rng = np.random.default_rng(
                 [self._seed, zlib.crc32(attribute.encode("utf-8"))]
             )
             cached = float(bias_rng.normal(0.0, self.bias_scale * noise_sd))
-            self._stateless_biases[attribute] = cached
+            self._biases[attribute] = cached
         return cached
 
-    def answer_values_stateless(
+    def answer_value(
         self,
         domain: Domain,
-        object_ids: np.ndarray,
+        object_id: int,
         attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        values = super().answer_values_stateless(
-            domain, object_ids, attribute, variates
-        )
-        return biased_shift(
-            values,
-            self.stateless_bias(domain, attribute),
-            bool(domain.is_binary(attribute)),
-        )
-
-    def state_dict(self) -> dict:
-        # Biases are drawn lazily from the worker RNG; without them a
-        # restored worker would redraw and shift its random stream.
-        state = super().state_dict()
-        state["biases"] = dict(self._biases)
-        return state
-
-    def restore_state(self, payload: dict) -> None:
-        super().restore_state(payload)
-        self._biases = {
-            str(k): float(v) for k, v in payload.get("biases", {}).items()
-        }
+        rng: np.random.Generator,
+    ) -> float:
+        answer = super().answer_value(domain, object_id, attribute, rng)
+        answer += self.bias(domain, attribute)
+        if domain.is_binary(attribute):
+            answer = float(np.clip(answer, 0.0, 1.0))
+        return answer
 
 
 class CollusionRingWorker(HonestWorker):
@@ -415,10 +282,10 @@ class CollusionRingWorker(HonestWorker):
     detection does not expose them).
 
     The shared error is a pure function of ``(ring_seed, attribute,
-    object_id)``, so the stateful and stateless answer paths agree and
-    the serving tier's determinism contracts hold; the batched stream
-    routes these lanes through scalar replay (unknown exact type),
-    which preserves byte identity by construction.
+    object_id)``, so it is the same whichever random stream the answer
+    draws its noise from; the batched stream routes these lanes through
+    scalar replay (unknown exact type), which preserves byte identity
+    by construction.
     """
 
     def __init__(
@@ -450,43 +317,18 @@ class CollusionRingWorker(HonestWorker):
             self._ring_biases[key] = cached
         return cached
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        answer = super().answer_value(domain, object_id, attribute)
-        answer += self._ring_bias(domain, attribute, object_id)
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return answer
-
-    def answer_value_stateless(
+    def answer_value(
         self,
         domain: Domain,
         object_id: int,
         attribute: str,
         rng: np.random.Generator,
     ) -> float:
-        answer = super().answer_value_stateless(domain, object_id, attribute, rng)
+        answer = super().answer_value(domain, object_id, attribute, rng)
         answer += self._ring_bias(domain, attribute, object_id)
         if domain.is_binary(attribute):
             answer = float(np.clip(answer, 0.0, 1.0))
         return answer
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        values = super().answer_values_stateless(
-            domain, object_ids, attribute, variates
-        )
-        biases = np.array(
-            [
-                self._ring_bias(domain, attribute, object_id)
-                for object_id in object_ids
-            ]
-        )
-        return biased_shift(values, biases, bool(domain.is_binary(attribute)))
 
 
 class DriftingWorker(HonestWorker):
@@ -495,8 +337,8 @@ class DriftingWorker(HonestWorker):
     Models reliability drift (fatigue, declining attention): the noise
     variance for object ``o`` is scaled by ``1 + drift_rate * o``.  The
     drift is keyed to the object id — the serving tier's only
-    deterministic notion of progress — so both answer paths stay pure
-    functions of their inputs and every byte-identity gate holds.
+    deterministic notion of progress — so answers stay pure functions
+    of their inputs and every byte-identity gate holds.
     """
 
     def __init__(
@@ -509,33 +351,9 @@ class DriftingWorker(HonestWorker):
         super().__init__(worker_id, seed, **kwargs)
         self.drift_rate = float(drift_rate)
 
-    def _drifted_sd(self, domain: Domain, object_id: int, attribute: str) -> float:
+    def _noise_sd(self, domain: Domain, object_id: int, attribute: str) -> float:
         scale = 1.0 + self.drift_rate * max(int(object_id), 0)
         return float(np.sqrt(self.skill * scale * domain.difficulty(attribute)))
-
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        truth = domain.true_value(object_id, attribute)
-        answer = truth + self._rng.normal(
-            0.0, self._drifted_sd(domain, object_id, attribute)
-        )
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
-
-    def answer_value_stateless(
-        self,
-        domain: Domain,
-        object_id: int,
-        attribute: str,
-        rng: np.random.Generator,
-    ) -> float:
-        truth = domain.true_value(object_id, attribute)
-        answer = truth + rng.normal(
-            0.0, self._drifted_sd(domain, object_id, attribute)
-        )
-        if domain.is_binary(attribute):
-            answer = float(np.clip(answer, 0.0, 1.0))
-        return float(answer)
 
 
 class SleeperWorker(HonestWorker):
@@ -544,9 +362,8 @@ class SleeperWorker(HonestWorker):
     Gold-standard screening checks workers on a known prefix of the
     object set; a sleeper answers those honestly and turns to spam
     afterwards.  The turn is keyed to the object id (``object_id >=
-    patience``) rather than a stateful answer counter so the stateless
-    serving paths agree with the offline path and answers stay pure
-    per-coordinate functions.
+    patience``) rather than a stateful answer counter, so answers stay
+    pure per-coordinate functions on the serving tier.
     """
 
     def __init__(
@@ -561,13 +378,7 @@ class SleeperWorker(HonestWorker):
             raise ValueError(f"patience must be >= 0, got {patience}")
         self.patience = int(patience)
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        if int(object_id) < self.patience:
-            return super().answer_value(domain, object_id, attribute)
-        low, high = domain.answer_range(attribute)
-        return float(self._rng.uniform(low, high))
-
-    def answer_value_stateless(
+    def answer_value(
         self,
         domain: Domain,
         object_id: int,
@@ -575,7 +386,7 @@ class SleeperWorker(HonestWorker):
         rng: np.random.Generator,
     ) -> float:
         if int(object_id) < self.patience:
-            return super().answer_value_stateless(domain, object_id, attribute, rng)
+            return super().answer_value(domain, object_id, attribute, rng)
         low, high = domain.answer_range(attribute)
         return float(rng.uniform(low, high))
 
@@ -590,11 +401,7 @@ class SpamWorker(Worker):
     filtered out before aggregation.
     """
 
-    def answer_value(self, domain: Domain, object_id: int, attribute: str) -> float:
-        low, high = domain.answer_range(attribute)
-        return float(self._rng.uniform(low, high))
-
-    def answer_value_stateless(
+    def answer_value(
         self,
         domain: Domain,
         object_id: int,
@@ -603,16 +410,6 @@ class SpamWorker(Worker):
     ) -> float:
         low, high = domain.answer_range(attribute)
         return float(rng.uniform(low, high))
-
-    def answer_values_stateless(
-        self,
-        domain: Domain,
-        object_ids: np.ndarray,
-        attribute: str,
-        variates: np.ndarray,
-    ) -> np.ndarray:
-        low, high = domain.answer_range(attribute)
-        return spam_values(low, high, np.asarray(variates, dtype=np.float64))
 
     def answer_dismantle(self, domain: Domain, attribute: str) -> str:
         candidates = [name for name in domain.attributes() if name != attribute]

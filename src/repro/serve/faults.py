@@ -3,17 +3,18 @@
 The offline platform's resilience loop (:meth:`~repro.crowd.platform.
 CrowdPlatform._resilient_ask`) is stateful: a shared injector RNG, a
 mutable circuit breaker and a shared simulated clock, all advanced in
-global question order.  The serving engine cannot use it — its
-generation phase runs in parallel and must stay byte-identical across
-worker counts.  :class:`ResilientValueStream` is the pure-function
-replacement:
+global question order.  The serving engine cannot use it — its answers
+must not depend on how queries are batched into waves or in which
+order a wave buys its keys.  :class:`ResilientValueStream` is the
+pure-function replacement:
 
 * Attempt ``a`` of answer ``i`` for ``(object, attribute)`` derives its
   own generator from ``(fault_seed, object, attribute, i, a)`` — fault
   outcome, retry jitter, worker redraws and the answer value itself all
-  come from that generator, so the whole purchase is a pure function of
-  its coordinates and the *frozen* quarantine set the engine snapshots
-  serially at wave start.
+  come from that generator (passed to the worker's one
+  :meth:`~repro.crowd.worker.Worker.answer_value`), so the whole
+  purchase is a pure function of its coordinates and the *frozen*
+  quarantine set the engine snapshots at wave start.
 * No shared state is touched.  Every attempt is logged into the
   returned :class:`KeyPurchase`; the engine replays those logs into the
   circuit breaker, ledger, simulated clock and metrics **serially, in
@@ -154,7 +155,7 @@ class ResilientValueStream:
 
         Pure: the result depends only on ``(seed, object, attribute,
         index, attempt)`` coordinates and ``blocked`` — never on call
-        order, thread scheduling or purchase batching.
+        order or purchase batching.
         """
         canonical, attr_key, low, high = self._resolve_key(attribute)
         domain = self.stream.domain
@@ -180,9 +181,7 @@ class ResilientValueStream:
                     result.abandons += 1
                     result.attempts.append(Attempt(worker.worker_id, True))
                     continue
-                answer = worker.answer_value_stateless(
-                    domain, object_id, canonical, rng
-                )
+                answer = worker.answer_value(domain, object_id, canonical, rng)
                 if outcome.kind is FaultKind.GARBAGE:
                     answer = corrupted_value((low, high), rng)
                     result.garbage += 1

@@ -10,9 +10,11 @@ state: answer ``i`` for ``(object, attribute)`` is a pure function of
 ``(seed, object_id, attribute, i)``.  Each answer derives its own
 :class:`numpy.random.Generator` from that tuple, draws a worker index
 from it (uniform over the pool, matching
-:meth:`~repro.crowd.pool.WorkerPool.draw`), and asks that worker for a
-*stateless* answer (:meth:`~repro.crowd.worker.Worker.
-answer_value_stateless`) using the same generator.
+:meth:`~repro.crowd.pool.WorkerPool.draw`), and asks that worker for
+its value answer (:meth:`~repro.crowd.worker.Worker.answer_value`),
+passing the same generator instead of the worker's private one — the
+one answer model the offline platform uses, fed from a pure
+per-coordinate stream.
 
 Consequences, all load-bearing for the serving engine:
 
@@ -32,10 +34,10 @@ processes and Python versions), never ``hash()`` (salted per process).
 source of truth but derives a whole wave's draws at once through the
 vectorized kernels in :mod:`repro.serve.vecrng`: one entropy matrix row
 per answer coordinate, one batched PCG64 step per draw, and the worker
-math applied as array ops (:meth:`~repro.crowd.worker.Worker.
-answer_values_stateless`).  Lanes the kernels cannot finish exactly —
-ziggurat wedge/tail rejections, Lemire redraws, worker types without a
-vectorized contract — are replayed through the scalar
+math of the honest, biased and spam types applied as array ops
+(:meth:`BatchedValueStream._worker_math`).  Lanes the kernels cannot
+finish exactly — ziggurat wedge/tail rejections, Lemire redraws, any
+other worker type — are replayed through the scalar
 :meth:`DeterministicValueStream.answer`, so the batched stream is
 byte-identical to the scalar one on every lane.
 """
@@ -115,7 +117,7 @@ class DeterministicValueStream:
         canonical, attr_key = self._resolve(attribute)
         rng = np.random.default_rng([self.seed, int(object_id), attr_key, int(index)])
         worker = self._workers[int(rng.integers(0, len(self._workers)))]
-        return worker.answer_value_stateless(self.domain, object_id, canonical, rng)
+        return worker.answer_value(self.domain, object_id, canonical, rng)
 
     def answers(
         self, object_id: int, attribute: str, start: int, count: int
@@ -313,14 +315,14 @@ class BatchedValueStream(DeterministicValueStream):
         return self._worker_ids, self._proneness
 
     def _bias_row(self, canonical: str) -> np.ndarray:
-        """Pool-order stateless biases for one attribute (0 off-kind)."""
+        """Pool-order biases for one attribute (0 off-kind)."""
         row = self._bias_rows.get(canonical)
         if row is None:
             kinds, _ = self._worker_tables()
             row = np.zeros(len(self._workers), dtype=np.float64)
             for i, worker in enumerate(self._workers):
                 if kinds[i] == _KIND_BIASED:
-                    row[i] = worker.stateless_bias(self.domain, canonical)
+                    row[i] = worker.bias(self.domain, canonical)
             self._bias_rows[canonical] = row
         return row
 

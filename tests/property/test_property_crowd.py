@@ -85,12 +85,13 @@ class _ScriptedWorker:
     """A worker who always gives one scripted value answer."""
 
     fault_proneness = 1.0
+    rng = None
 
     def __init__(self, worker_id: int, answer: float) -> None:
         self.worker_id = worker_id
         self._answer = float(answer)
 
-    def answer_value(self, domain, object_id, attribute) -> float:
+    def answer_value(self, domain, object_id, attribute, rng) -> float:
         return self._answer
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pool import WorkerPool
+from repro.crowd.recording import AnswerRecorder
 from repro.crowd.worker import (
     BiasedWorker,
     CollusionRingWorker,
@@ -13,6 +15,7 @@ from repro.crowd.worker import (
     SpamWorker,
 )
 from repro.errors import ConfigurationError
+from repro.serve.stream import BatchedValueStream, DeterministicValueStream
 
 
 class TestPoolComposition:
@@ -88,50 +91,50 @@ class TestAdversarialPersonas:
     def test_ring_bias_enters_both_answer_paths(self, tiny_domain):
         ring = CollusionRingWorker(0, seed=11, ring_seed=99, bias_scale=2.0)
         twin = HonestWorker(0, seed=11)
-        stateless = ring.answer_value_stateless(
-            tiny_domain, 3, "target", np.random.default_rng(5)
-        ) - twin.answer_value_stateless(
-            tiny_domain, 3, "target", np.random.default_rng(5)
-        )
-        stateful = ring.answer_value(tiny_domain, 3, "target") - twin.answer_value(
-            tiny_domain, 3, "target"
-        )
         shared = ring._ring_bias(tiny_domain, "target", 3)
-        assert stateless == pytest.approx(shared)
-        assert stateful == pytest.approx(shared)
+        # The worker's own stream (offline platform) and a fresh
+        # per-coordinate stream (serving tier) both carry the error.
+        for ring_rng, twin_rng in (
+            (ring.rng, twin.rng),
+            (np.random.default_rng(5), np.random.default_rng(5)),
+        ):
+            delta = ring.answer_value(
+                tiny_domain, 3, "target", ring_rng
+            ) - twin.answer_value(tiny_domain, 3, "target", twin_rng)
+            assert delta == pytest.approx(shared)
 
     def test_ring_vectorized_path_matches_scalar_bias(self, tiny_domain):
-        ring = CollusionRingWorker(0, seed=11, ring_seed=99, bias_scale=2.0)
-        twin = HonestWorker(0, seed=11)
-        object_ids = np.array([0, 3, 7])
-        variates = np.array([0.5, -1.0, 2.0])
-        delta = ring.answer_values_stateless(
-            tiny_domain, object_ids, "target", variates.copy()
-        ) - twin.answer_values_stateless(
-            tiny_domain, object_ids, "target", variates.copy()
+        # Ring lanes have no array kernel: the batched stream replays
+        # them through the scalar answer, shared error included.
+        pool = WorkerPool(size=10, seed=1, colluding_fraction=0.5)
+        platform = CrowdPlatform(
+            tiny_domain, pool=pool, recorder=AnswerRecorder(), seed=3
         )
-        expected = [
-            ring._ring_bias(tiny_domain, "target", int(o)) for o in object_ids
-        ]
-        np.testing.assert_allclose(delta, expected)
+        requests = [(object_id, "target", 0, 12) for object_id in (0, 3, 7)]
+        batched = BatchedValueStream(platform).answers_many(requests)
+        scalar = DeterministicValueStream(platform)
+        for (object_id, attribute, start, count), answers in zip(requests, batched):
+            np.testing.assert_array_equal(
+                answers, scalar.answers(object_id, attribute, start, count)
+            )
 
     def test_drifting_worker_noise_grows_with_object_id(self, tiny_domain):
         worker = DriftingWorker(0, seed=2, drift_rate=0.5)
-        early = worker._drifted_sd(tiny_domain, 0, "target")
-        late = worker._drifted_sd(tiny_domain, 100, "target")
+        early = worker._noise_sd(tiny_domain, 0, "target")
+        late = worker._noise_sd(tiny_domain, 100, "target")
         assert late > early
         assert late == pytest.approx(early * np.sqrt(1 + 0.5 * 100))
 
     def test_sleeper_honest_below_patience_spam_after(self, tiny_domain):
         sleeper = SleeperWorker(0, seed=4, patience=10)
         twin = HonestWorker(0, seed=4)
-        assert sleeper.answer_value_stateless(
+        assert sleeper.answer_value(
             tiny_domain, 9, "target", np.random.default_rng(5)
-        ) == twin.answer_value_stateless(
+        ) == twin.answer_value(
             tiny_domain, 9, "target", np.random.default_rng(5)
         )
         low, high = tiny_domain.answer_range("target")
-        spam = sleeper.answer_value_stateless(
+        spam = sleeper.answer_value(
             tiny_domain, 10, "target", np.random.default_rng(5)
         )
         assert low <= spam <= high

@@ -69,10 +69,8 @@ class TestBatchedValueStream:
 
     def test_worker_subclass_falls_back_scalar(self, tiny_domain):
         class ShiftedWorker(HonestWorker):
-            def answer_value_stateless(self, domain, object_id, attribute, rng):
-                return super().answer_value_stateless(
-                    domain, object_id, attribute, rng
-                ) + 100.0
+            def answer_value(self, domain, object_id, attribute, rng):
+                return super().answer_value(domain, object_id, attribute, rng) + 100.0
 
         pool = WorkerPool(size=8, seed=2)
         pool._workers[3] = ShiftedWorker(

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.crowd.platform import CrowdPlatform
+from repro.crowd.pool import WorkerPool
+from repro.crowd.recording import AnswerRecorder
 from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker
 from repro.domains.base import IRRELEVANT
+from repro.serve.stream import DeterministicValueStream
 
 
 @pytest.fixture
@@ -15,7 +19,10 @@ def honest(tiny_domain):
 class TestHonestWorkerValues:
     def test_value_answer_is_noisy_truth(self, tiny_domain, honest):
         truth = tiny_domain.true_value(0, "target")
-        answers = [honest.answer_value(tiny_domain, 0, "target") for _ in range(400)]
+        answers = [
+            honest.answer_value(tiny_domain, 0, "target", honest.rng)
+            for _ in range(400)
+        ]
         # Mean converges to the truth; spread matches the difficulty.
         assert np.mean(answers) == pytest.approx(truth, abs=0.2)
         assert np.std(answers) == pytest.approx(
@@ -23,17 +30,24 @@ class TestHonestWorkerValues:
         )
 
     def test_binary_answers_clipped_to_unit_interval(self, tiny_domain, honest):
-        answers = [honest.answer_value(tiny_domain, 1, "flag_a") for _ in range(200)]
+        answers = [
+            honest.answer_value(tiny_domain, 1, "flag_a", honest.rng)
+            for _ in range(200)
+        ]
         assert all(0.0 <= a <= 1.0 for a in answers)
 
     def test_skill_scales_noise(self, tiny_domain):
         sharp = HonestWorker(0, seed=1, skill=0.01)
-        answers = [sharp.answer_value(tiny_domain, 3, "target") for _ in range(50)]
+        answers = [
+            sharp.answer_value(tiny_domain, 3, "target", sharp.rng) for _ in range(50)
+        ]
         assert np.std(answers) < 0.3
 
     def test_distinct_seeds_give_distinct_answers(self, tiny_domain):
-        a = HonestWorker(0, seed=1).answer_value(tiny_domain, 0, "target")
-        b = HonestWorker(1, seed=2).answer_value(tiny_domain, 0, "target")
+        first = HonestWorker(0, seed=1)
+        second = HonestWorker(1, seed=2)
+        a = first.answer_value(tiny_domain, 0, "target", first.rng)
+        b = second.answer_value(tiny_domain, 0, "target", second.rng)
         assert a != b
 
 
@@ -94,22 +108,56 @@ class TestBiasedWorker:
     def test_bias_is_persistent_per_attribute(self, tiny_domain):
         worker = BiasedWorker(0, seed=3, bias_scale=5.0)
         truth = tiny_domain.true_value(0, "target")
-        answers = [worker.answer_value(tiny_domain, 0, "target") for _ in range(300)]
+        answers = [
+            worker.answer_value(tiny_domain, 0, "target", worker.rng)
+            for _ in range(300)
+        ]
         # A strong persistent bias shifts the mean away from the truth.
         assert abs(np.mean(answers) - truth) > 0.5
 
     def test_bias_zero_scale_behaves_honestly(self, tiny_domain):
         worker = BiasedWorker(0, seed=3, bias_scale=0.0)
         truth = tiny_domain.true_value(0, "target")
-        answers = [worker.answer_value(tiny_domain, 0, "target") for _ in range(300)]
+        answers = [
+            worker.answer_value(tiny_domain, 0, "target", worker.rng)
+            for _ in range(300)
+        ]
         assert np.mean(answers) == pytest.approx(truth, abs=0.25)
+
+    def test_offline_and_stream_answers_share_the_bias(self, tiny_domain):
+        # One strongly biased worker answers both the offline platform
+        # (its own random stream) and the serving tier's per-coordinate
+        # stream: both must carry the same per-attribute bias.
+        pool = WorkerPool(size=1, seed=5)
+        pool._workers[0] = BiasedWorker(0, seed=21, bias_scale=10.0)
+        platform = CrowdPlatform(
+            tiny_domain, pool=pool, recorder=AnswerRecorder(), seed=4
+        )
+        stream = DeterministicValueStream(platform)
+        objects = range(0, 150)
+        for attribute in ("target", "helper"):
+            truth = np.array([tiny_domain.true_value(o, attribute) for o in objects])
+            offline = np.array(
+                [platform.ask_value(o, attribute, 2) for o in objects]
+            )
+            streamed = np.array([stream.answers(o, attribute, 0, 2) for o in objects])
+            offline_bias = float(np.mean(offline - truth[:, None]))
+            stream_bias = float(np.mean(streamed - truth[:, None]))
+            noise_sd = np.sqrt(tiny_domain.difficulty(attribute))
+            # The bias dwarfs the noise; the two means differ only by
+            # noise averaged over 300 answers each.
+            assert abs(offline_bias) > 2.0 * noise_sd
+            assert offline_bias == pytest.approx(stream_bias, abs=0.4 * noise_sd)
 
 
 class TestSpamWorker:
     def test_value_answers_uninformative(self, tiny_domain):
         worker = SpamWorker(0, seed=1)
         low, high = tiny_domain.answer_range("target")
-        answers = [worker.answer_value(tiny_domain, 0, "target") for _ in range(200)]
+        answers = [
+            worker.answer_value(tiny_domain, 0, "target", worker.rng)
+            for _ in range(200)
+        ]
         assert all(low <= a <= high for a in answers)
         # Uniform over the range: variance far exceeds the honest noise.
         assert np.var(answers) > tiny_domain.difficulty("target")
