@@ -844,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="admission front door: reject (429-style) at this combined "
-        "queue depth; setting any --admit-* flag enables the async "
+        "queue depth; setting any --admit-* flag enables the "
         "admission layer",
     )
     serve.add_argument(

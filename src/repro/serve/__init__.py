@@ -17,15 +17,14 @@ deadline/budget/fault-aware (:mod:`repro.serve.degrade`): a query the
 engine cannot fully serve comes back ``degraded`` with widened
 intervals and an honest completeness figure, never silently dropped.
 
-The admission layer (DESIGN.md §15) puts an asyncio ladder in front of
-the engine queue (:mod:`repro.serve.admission`): admit, degrade to
+The admission layer (DESIGN.md §15) puts a synchronous ladder in front
+of the engine queue (:mod:`repro.serve.admission`): admit, degrade to
 cache-only, or reject by queue depth and deadline headroom.
 """
 
 from repro.serve.admission import (
     DECISIONS,
     AdmissionPolicy,
-    AsyncAdmission,
     admit_and_serve,
 )
 from repro.serve.cache import AnswerCache, CachedAnswerSource, CacheReadSource
@@ -60,7 +59,6 @@ __all__ = [
     "STATUSES",
     "AdmissionPolicy",
     "AnswerCache",
-    "AsyncAdmission",
     "BatchedValueStream",
     "CacheReadSource",
     "CachedAnswerSource",

@@ -14,7 +14,7 @@ actually have).
 The degradation ladder (DESIGN.md §13), in reason-precedence order:
 
 ``admission``
-    The async admission layer shed the query *into* the cache: it was
+    The admission layer shed the query *into* the cache: it was
     admitted cache-only (no purchase demand) under backpressure, so any
     term the warm cache cannot fully serve is short by decision, not by
     money or crowd behaviour (DESIGN.md §15).

@@ -20,7 +20,7 @@ evaluate, and an optional deadline.  Each produces a
     distinguishes backpressure (``"overflow"`` — the queue was full at
     admission), expiry (``"deadline"`` — the deadline had already
     passed when its wave formed, and the engine was configured to shed
-    rather than degrade such queries), and the async front door's
+    rather than degrade such queries), and the admission front door's
     429-style refusal (``"rejected"`` — the admission layer turned the
     query away before it ever reached the engine queue).
 

@@ -1,11 +1,9 @@
-"""Unit tests for the async admission layer (DESIGN.md §15).
+"""Unit tests for the admission layer (DESIGN.md §15).
 
-Covers the policy ladder's arithmetic, validation, the async front
-door's backpressure queue, rejected results landing in the report, and
-cache-only degradation carrying the ``"admission"`` reason.
+Covers the policy ladder's arithmetic, validation, the synchronous
+front door's depth accounting, rejected results landing in the report,
+and cache-only degradation carrying the ``"admission"`` reason.
 """
-
-import asyncio
 
 import pytest
 
@@ -21,7 +19,6 @@ from repro.errors import ConfigurationError
 from repro.serve import (
     DECISIONS,
     AdmissionPolicy,
-    AsyncAdmission,
     QueryRequest,
     ServeEngine,
     admit_and_serve,
@@ -89,33 +86,7 @@ class TestAdmissionPolicy:
         assert DECISIONS == ("admit", "degrade", "reject")
 
 
-class TestAsyncAdmission:
-    def test_queue_limit_validation(self, tiny_domain):
-        engine, _ = make_engine(tiny_domain)
-        with engine:
-            with pytest.raises(ConfigurationError):
-                AsyncAdmission(engine, queue_limit=0)
-
-    def test_offer_admits_and_pumps(self, tiny_domain):
-        plan = identity_plan("target")
-        engine, _ = make_engine(tiny_domain)
-
-        async def scenario():
-            admission = AsyncAdmission(engine)
-            decision = await admission.offer(
-                QueryRequest("q1", ("target",), (0, 1)), plan
-            )
-            assert decision == "admit"
-            assert admission.depth == 1
-            moved = await admission.pump()
-            assert moved == 1
-            assert engine.queue_depth == 1
-
-        with engine:
-            asyncio.run(scenario())
-            report = engine.run()
-        assert report.result("q1").status == "completed"
-
+class TestAdmitAndServe:
     def test_reject_lands_in_report(self, tiny_domain):
         plan = identity_plan("target")
         engine, platform = make_engine(tiny_domain)
@@ -188,6 +159,26 @@ class TestAsyncAdmission:
         assert decisions == {"admit": 4, "degrade": 0, "reject": 0}
         assert report.completed == 4
         assert obs.metrics.counter("serve.admission.admit") == 4
+
+    def test_depth_counts_engine_queue_and_queued_arrivals(self, tiny_domain):
+        plan = identity_plan("target")
+        engine, _ = make_engine(tiny_domain)
+        policy = AdmissionPolicy(reject_depth=3, degrade_depth=2)
+        arrivals = [
+            (QueryRequest(f"q{i}", ("target",), (i,)), plan) for i in range(1, 5)
+        ]
+        with engine:
+            engine.submit(QueryRequest("q0", ("target",), (0,)), plan)
+            report, decisions = admit_and_serve(engine, arrivals, policy)
+        # Depths seen: 1 (the pre-queued q0), 2, 3, 3.
+        assert decisions == {"admit": 1, "degrade": 1, "reject": 2}
+        assert [report.result(f"q{i}").status for i in range(5)] == [
+            "completed",
+            "completed",
+            "degraded",
+            "shed",
+            "shed",
+        ]
 
     def test_duplicate_reject_id_raises(self, tiny_domain):
         engine, _ = make_engine(tiny_domain)
