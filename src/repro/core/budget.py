@@ -11,17 +11,17 @@ attribute's contribution by its cost").
 
 Two implementations share that contract:
 
-* ``method="reference"`` — the naive loop: every candidate at every
-  grant step is evaluated by a fresh ``O(k^3)`` solve
-  (``O(B_obj * n * k^3)`` per target).  Kept verbatim as the ground
-  truth the fast path is tested against.
-* ``method="fast"`` (default) — the same scan order and comparison
-  semantics as the reference, but every candidate is evaluated through
-  one :class:`~repro.core.objective.IncrementalObjective` per target
+* :func:`greedy_counts_fast` — the one the planner uses.  Every
+  candidate is evaluated through one
+  :class:`~repro.core.objective.IncrementalObjective` per target
   (Sherman–Morrison / bordered inverse updates, vectorized across
-  candidates), dropping a grant step from ``O(n * k^3)`` solves to a
-  couple of BLAS calls.  Selects identical counts to the reference
-  (asserted by the test suite and the perf-smoke CI job).
+  candidates), so a grant step costs a couple of BLAS calls.
+* :func:`greedy_counts_reference` — the naive loop: every candidate at
+  every grant step is evaluated by a fresh ``O(k^3)`` solve
+  (``O(B_obj * n * k^3)`` per target).  Kept verbatim as the oracle
+  the fast path is tested against: same scan order, same comparison
+  semantics, identical counts (asserted by the test suite and the
+  perf-smoke CI job).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ EPSILON = 1e-15
 
 #: Slack used when checking a cost against the remaining budget.
 _AFFORD_SLACK = 1e-9
-
-#: Known allocator methods (``DisQParams.allocator`` values).
-ALLOCATOR_METHODS = ("fast", "reference")
-
 
 @dataclass(frozen=True)
 class TargetObjective:
@@ -208,7 +204,6 @@ def greedy_counts(
     objectives: list[TargetObjective],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
     metrics=None,
     gains: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -223,9 +218,6 @@ def greedy_counts(
         Cost in cents of one value question per attribute.
     budget_cents:
         The per-object online budget ``B_obj``.
-    method:
-        ``"fast"`` (incremental evaluators, reference-identical counts,
-        default) or ``"reference"`` (the naive re-solving loop).
     metrics:
         Optional duck-typed metrics sink
         (:class:`repro.obs.metrics.MetricsRegistry`).  One
@@ -240,14 +232,7 @@ def greedy_counts(
     """
     if gains is not None:
         objectives = apply_reliability_gains(objectives, gains)
-    if method == "fast":
-        counts = greedy_counts_fast(objectives, costs, budget_cents)
-    elif method == "reference":
-        counts = greedy_counts_reference(objectives, costs, budget_cents)
-    else:
-        raise ConfigurationError(
-            f"unknown allocator method {method!r}; choose from {ALLOCATOR_METHODS}"
-        )
+    counts = greedy_counts_fast(objectives, costs, budget_cents)
     if metrics is not None:
         metrics.inc("allocator.calls")
         metrics.inc("allocator.grants", int(counts.sum()))
@@ -259,7 +244,6 @@ def find_budget_distribution(
     attributes: list[str],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
     metrics=None,
     gains: np.ndarray | None = None,
 ) -> BudgetDistribution:
@@ -268,7 +252,6 @@ def find_budget_distribution(
         objectives,
         np.asarray(costs, dtype=float),
         budget_cents,
-        method=method,
         metrics=metrics,
         gains=gains,
     )
@@ -281,15 +264,12 @@ def max_explained_variance(
     objectives: list[TargetObjective],
     costs: np.ndarray,
     budget_cents: float,
-    method: str = "fast",
 ) -> float:
     """Best (greedy) weighted explained variance achievable under a budget.
 
     This is the ``max_b`` term of the paper's loss function ``L(A, u, v)``.
-    The final value is always computed by the reference formula on the
-    selected counts, so both methods report it identically.
+    The final value is computed by the reference formula on the
+    selected counts.
     """
-    counts = greedy_counts(
-        objectives, np.asarray(costs, dtype=float), budget_cents, method=method
-    )
+    counts = greedy_counts(objectives, np.asarray(costs, dtype=float), budget_cents)
     return _total_value(objectives, counts)

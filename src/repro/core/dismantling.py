@@ -124,20 +124,17 @@ class DismantleScorer:
         costs: np.ndarray,
         budget_cents: float,
         unit_cost: float,
-        method: str = "fast",
     ) -> float:
         """``L(A, u, v)``: value lost by freeing one question's budget.
 
         With heterogeneous prices "one question" is ``unit_cost`` cents
         (the price of the question the new attribute would receive).
-        ``method`` selects the greedy allocator implementation (see
-        :func:`~repro.core.budget.greedy_counts`).
         """
         if not objectives or len(costs) == 0:
             return 0.0
-        full = max_explained_variance(objectives, costs, budget_cents, method=method)
+        full = max_explained_variance(objectives, costs, budget_cents)
         reduced = max_explained_variance(
-            objectives, costs, max(budget_cents - unit_cost, 0.0), method=method
+            objectives, costs, max(budget_cents - unit_cost, 0.0)
         )
         return max(full - reduced, 0.0)
 
@@ -154,10 +151,9 @@ class DismantleScorer:
         budget_cents: float,
         unit_cost: float,
         s_o_fill: SoFill | None = None,
-        method: str = "fast",
     ) -> list[CandidateScore]:
         """Score every candidate; the loss term is shared across them."""
-        loss = self.loss(objectives, costs, budget_cents, unit_cost, method=method)
+        loss = self.loss(objectives, costs, budget_cents, unit_cost)
         scores = []
         for attribute in candidates:
             total_gain = sum(

@@ -38,11 +38,7 @@ from repro.agg.base import (
     validate_trim_fraction,
 )
 from repro.agg.reliability import ReliabilityModel
-from repro.core.budget import (
-    ALLOCATOR_METHODS,
-    TargetObjective,
-    find_budget_distribution,
-)
+from repro.core.budget import TargetObjective, find_budget_distribution
 from repro.core.dismantling import DismantleScorer, probability_of_new_answer
 from repro.core.model import BudgetDistribution, PreprocessingPlan, Query
 from repro.core.pairing import NaiveMeanEstimator, PairingRule, ZeroEstimator
@@ -142,13 +138,6 @@ class DisQParams:
         recorded in the plan's
         :class:`~repro.crowd.faults.ResilienceReport`.  Off by default
         so the paper-faithful abort behavior is unchanged.
-    allocator:
-        Budget-allocation engine: ``"fast"`` (greedy over
-        Sherman–Morrison incremental evaluators, the default) or
-        ``"reference"`` (the naive re-solving loop, kept as ground
-        truth).  Both produce identical budget distributions; the fast
-        path is an order of magnitude quicker once the discovered
-        attribute set grows.
     aggregator:
         Answer-aggregation strategy for the online phase: ``"uniform"``
         (the paper's plain mean, default), ``"trimmed"``, ``"huber"``
@@ -176,18 +165,12 @@ class DisQParams:
     formula_family: str = "linear"
     min_probability_new: float = 0.02
     graceful_degradation: bool = False
-    allocator: str = "fast"
     aggregator: str = "uniform"
     trim_fraction: float = 0.1
     huber_delta: float = 1.5
     em_iterations: int = 5
 
     def __post_init__(self) -> None:
-        if self.allocator not in ALLOCATOR_METHODS:
-            raise ConfigurationError(
-                f"unknown allocator {self.allocator!r}; "
-                f"choose from {ALLOCATOR_METHODS}"
-            )
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(
                 f"unknown aggregator {self.aggregator!r}; "
@@ -740,7 +723,6 @@ class DisQPlanner:
                     costs,
                     self.b_obj_cents,
                     self.platform.prices.numeric_value,
-                    method=self.params.allocator,
                 )
                 cached_gains = {
                     attribute: sum(
@@ -955,7 +937,6 @@ class DisQPlanner:
             attributes,
             costs,
             self.b_obj_cents,
-            method=self.params.allocator,
             metrics=self.platform.obs.metrics_sink,
             gains=gains,
         )

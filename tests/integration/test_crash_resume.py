@@ -6,6 +6,8 @@ produces a plan, model and ledger **bit-identical** to a run that never
 crashed, with zero re-purchased answers.
 """
 
+import json
+
 import pytest
 
 from repro.core.disq import DisQParams
@@ -215,6 +217,26 @@ class TestGuards:
                 platform, query, B_OBJ, B_PRC + 100.0, params(),
                 checkpoint_dir=tmp_path, resume=True,
             )
+
+    def test_checkpoint_with_removed_allocator_option_refused(self, tmp_path):
+        # Planner checkpoints of older releases fingerprint a params repr
+        # that still carries ``allocator='fast'``; resuming one must be
+        # refused rather than continued under a different configuration.
+        with pytest.raises(SimulatedCrash):
+            run_to_completion(
+                checkpoint_dir=tmp_path,
+                chaos=CrashInjector(at_phase="statistics"),
+            )
+        checkpoint = tmp_path / "disq.checkpoint.json"
+        document = json.loads(checkpoint.read_text())
+        params_repr = document["config"]["params"]
+        assert "allocator=" not in params_repr
+        document["config"]["params"] = params_repr.replace(
+            "aggregator=", "allocator='fast', aggregator="
+        )
+        checkpoint.write_text(json.dumps(document, sort_keys=True))
+        with pytest.raises(CheckpointError, match="different"):
+            run_to_completion(checkpoint_dir=tmp_path, resume=True)
 
     def test_torn_checkpoint_file_refused(self, tmp_path):
         with pytest.raises(SimulatedCrash):

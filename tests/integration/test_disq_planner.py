@@ -119,11 +119,6 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             DisQParams(s_o_estimator="magic")
 
-    @pytest.mark.parametrize("allocator", ["best", "lazy"])
-    def test_invalid_allocator_rejected(self, allocator):
-        with pytest.raises(ConfigurationError):
-            DisQParams(allocator=allocator)
-
     def test_fill_factory(self):
         from repro.core.pairing import NaiveMeanEstimator, ZeroEstimator
         from repro.core.sograph import SoGraphEstimator

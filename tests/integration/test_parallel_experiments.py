@@ -1,5 +1,7 @@
 """The parallel experiment engine is bit-identical to serial runs."""
 
+from repro.core import budget as budget_module
+from repro.core.budget import greedy_counts_reference
 from repro.core.disq import DisQParams, DisQPlanner
 from repro.core.model import Query
 from repro.core.online import default_weights
@@ -99,18 +101,27 @@ class TestRunAveragedParallel:
 
 
 class TestAllocatorMethodsEndToEnd:
-    def test_fast_and_reference_plans_identical(self, tiny_domain):
+    def test_fast_and_reference_plans_identical(self, tiny_domain, monkeypatch):
         """On the same recorded answers, the fast allocator must drive
-        the planner to byte-identical plans and budget distributions."""
+        the planner to the plans and budget distributions the reference
+        loop (patched in as the planner's allocator) produces."""
         query = tiny_query(tiny_domain)
         recorder = AnswerRecorder()
         plans = {}
+        oracle_calls = []
+
+        def oracle(*args):
+            oracle_calls.append(args)
+            return greedy_counts_reference(*args)
+
         for method in ("fast", "reference"):
+            if method == "reference":
+                monkeypatch.setattr(budget_module, "greedy_counts_fast", oracle)
             platform = CrowdPlatform(tiny_domain, recorder=recorder, seed=11)
-            params = DisQParams(n1=12, allocator=method)
             plans[method] = DisQPlanner(
-                platform, query, 2.0, 300.0, params
+                platform, query, 2.0, 300.0, DisQParams(n1=12)
             ).preprocess()
+        assert oracle_calls
         fast, reference = plans["fast"], plans["reference"]
         assert fast.budget.counts == reference.budget.counts
         assert fast.attributes == reference.attributes

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.budget import (
-    ALLOCATOR_METHODS,
     TargetObjective,
     find_budget_distribution,
     greedy_counts,
@@ -12,7 +11,6 @@ from repro.core.budget import (
     greedy_counts_reference,
     max_explained_variance,
 )
-from repro.errors import ConfigurationError
 
 
 def random_objective(n: int, seed: int, weight: float = 1.0):
@@ -82,21 +80,10 @@ class TestFastMatchesReference:
         costs = np.array([0.5, 0.3, 0.7, 0.4])
         attributes = ["a", "b", "c", "d"]
         budget = 3.0
-        for method in ALLOCATOR_METHODS:
-            counts = greedy_counts(objectives, costs, budget, method=method)
-            distribution = find_budget_distribution(
-                objectives, attributes, costs, budget, method=method
-            )
-            assert [
-                distribution.counts.get(a, 0) for a in attributes
-            ] == list(counts)
-        assert max_explained_variance(
-            objectives, costs, budget, method="fast"
-        ) == pytest.approx(
-            max_explained_variance(objectives, costs, budget, method="reference")
+        counts = greedy_counts(objectives, costs, budget)
+        assert np.array_equal(counts, greedy_counts_reference(objectives, costs, budget))
+        distribution = find_budget_distribution(objectives, attributes, costs, budget)
+        assert [distribution.counts.get(a, 0) for a in attributes] == list(counts)
+        assert max_explained_variance(objectives, costs, budget) == pytest.approx(
+            sum(o.value(counts) for o in objectives)
         )
-
-    def test_unknown_method_rejected(self):
-        objectives = [random_objective(2, seed=0)]
-        with pytest.raises(ConfigurationError):
-            greedy_counts(objectives, np.array([0.5, 0.5]), 1.0, method="best")
