@@ -88,10 +88,6 @@ class ExamplePool:
         self.target_values.append(float(target_value))
         self.version += 1
 
-    def measured_attributes(self) -> tuple[str, ...]:
-        """Attributes with at least one answer batch in this pool."""
-        return tuple(self._answers)
-
     def n_measured(self, attribute: str) -> int:
         """Number of examples with answers for ``attribute``."""
         return len(self._answers.get(attribute, []))

@@ -15,7 +15,6 @@ attributes with values in ``[0, 1]``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache
 
 import numpy as np
 
@@ -203,12 +202,3 @@ class Domain(ABC):
             f"{type(self).__name__}(name={self.name!r}, "
             f"objects={self.n_objects()}, attributes={len(self.attributes())})"
         )
-
-
-def cached_property_array(method):
-    """Decorate a zero-argument Domain method with per-instance caching.
-
-    Several base-class helpers recompute per-attribute vectors; concrete
-    domains with large object sets can wrap their hot paths with this.
-    """
-    return lru_cache(maxsize=None)(method)
