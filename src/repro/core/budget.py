@@ -177,8 +177,8 @@ def apply_reliability_gains(
     (and therefore byte-identical counts) because ``x / 1.0 == x``
     exactly in IEEE-754.
 
-    Applied to the *inputs* of the greedy loop, so both allocator
-    methods (fast / reference) see the identical adjusted problem and
+    Applied to the *inputs* of the greedy loop, so the fast allocator
+    and its reference oracle see the identical adjusted problem and
     keep their equivalence guarantees.
     """
     gains = np.asarray(gains, dtype=float)

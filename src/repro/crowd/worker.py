@@ -55,12 +55,8 @@ class Worker(ABC):
 
     @property
     def rng(self) -> np.random.Generator:
-        """The worker's private random stream.
-
-        The offline platform and the gold screen pass it to
-        :meth:`answer_value`; the serving tier passes a per-coordinate
-        generator instead.
-        """
+        """The worker's private random stream (the offline callers'
+        ``rng`` for :meth:`answer_value`)."""
         return self._rng
 
     # -- the four question types ---------------------------------------
@@ -178,7 +174,7 @@ class HonestWorker(Worker):
 
     def _noise_sd(self, domain: Domain, object_id: int, attribute: str) -> float:
         """Standard deviation of this worker's answer noise on ``o.a``."""
-        return np.sqrt(self.skill * domain.difficulty(attribute))
+        return float(np.sqrt(self.skill * domain.difficulty(attribute)))
 
     def answer_value(
         self,
