@@ -48,6 +48,12 @@ def _require_finite(target: str, attribute: str, answers: list[float]) -> None:
             )
 
 
+def _soft_threshold(value: float, threshold: float) -> float:
+    """Shrink ``|value|`` toward zero by ``threshold``, keeping the sign."""
+    magnitude = max(abs(value) - threshold, 0.0)
+    return float(np.sign(value)) * magnitude
+
+
 def variance_estimate(answers: list[float]) -> float:
     """Unbiased within-object variance from ``k`` answers (``VarEst_k``).
 
@@ -75,8 +81,10 @@ class ExamplePool:
     object_ids: list[int] = field(default_factory=list)
     target_values: list[float] = field(default_factory=list)
     _answers: dict[str, list[list[float]]] = field(default_factory=dict)
-    #: Bumped on every mutation; lets the statistics store memoize.
-    version: int = 0
+    #: Mutation counters the statistics store builds its memo signatures
+    #: from: one for the target values, one per attribute's batches.
+    target_version: int = 0
+    _batch_versions: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.object_ids)
@@ -86,7 +94,7 @@ class ExamplePool:
         _require_finite(self.target, "<target value>", [float(target_value)])
         self.object_ids.append(object_id)
         self.target_values.append(float(target_value))
-        self.version += 1
+        self.target_version += 1
 
     def n_measured(self, attribute: str) -> int:
         """Number of examples with answers for ``attribute``."""
@@ -107,7 +115,7 @@ class ExamplePool:
                 f"in pool {self.target!r}"
             )
         existing.extend([list(batch) for batch in batches])
-        self.version += 1
+        self._batch_versions[attribute] = self.batch_version(attribute) + 1
 
     def append_to_batch(self, attribute: str, example_index: int, answers: list[float]) -> None:
         """Add extra answers to one example's existing batch.
@@ -122,7 +130,11 @@ class ExamplePool:
                 f"no existing batch for {attribute!r} at example {example_index}"
             )
         batches[example_index].extend(float(a) for a in answers)
-        self.version += 1
+        self._batch_versions[attribute] = self.batch_version(attribute) + 1
+
+    def batch_version(self, attribute: str) -> int:
+        """Mutation counter of ``attribute``'s answer batches."""
+        return self._batch_versions.get(attribute, 0)
 
     def batch(self, attribute: str, example_index: int) -> list[float]:
         """The raw answers of one example for one attribute."""
@@ -194,7 +206,6 @@ class ExamplePool:
                 attribute: [list(batch) for batch in batches]
                 for attribute, batches in self._answers.items()
             },
-            "version": self.version,
         }
 
     @classmethod
@@ -207,7 +218,6 @@ class ExamplePool:
             str(attribute): [[float(a) for a in batch] for batch in batches]
             for attribute, batches in payload["answers"].items()
         }
-        pool.version = int(payload["version"])
         return pool
 
 
@@ -233,21 +243,44 @@ class StatisticsStore:
         #: Attribute measurement order (Table 1's column order).
         self.attributes: list[str] = []
         #: Which pools each attribute has been measured on.
-        self.pairings: dict[str, set[str]] = {}
-        # Memoization of derived statistics, invalidated whenever any
-        # pool mutates (pools bump their version counters).
-        self._cache: dict[tuple, float | None] = {}
-        self._cache_version: int = -1
+        self.pairings: dict[str, frozenset[str]] = {}
+        # Memoized derived statistics: key -> (signature, value).
+        self._cache: dict[tuple, tuple[tuple, object]] = {}
 
-    def _memo(self, key: tuple, compute) -> float | None:
-        """Cache ``compute()`` under ``key`` until any pool changes."""
-        version = sum(pool.version for pool in self.pools.values())
-        if version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = version
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    def _memo(self, key: tuple, compute, deps: tuple[str, ...]):
+        """``compute()`` cached under ``key`` while its inputs are unchanged.
+
+        Every statistic is a function of the pools' target values, of
+        the answer batches of the attributes in ``deps`` and of those
+        attributes' pairings.  The entry's signature snapshots exactly
+        those inputs, so an accepted attribute recomputes only the
+        entries that involve it.  Pools restored from a checkpoint
+        restart their counters, so :meth:`restore_state` drops the memo.
+        """
+        pools = self.pools.values()
+        inputs: list = [pool.target_version for pool in pools]
+        for attribute in deps:
+            inputs.append(self.pairings.get(attribute))
+            inputs.extend(pool.batch_version(attribute) for pool in pools)
+        signature = tuple(inputs)
+        cached = self._cache.get(key)
+        if cached is not None and cached[0] == signature:
+            return cached[1]
+        value = compute()
+        self._cache[key] = (signature, value)
+        return value
+
+    def _paired_pools(self, *attributes: str) -> list[ExamplePool]:
+        """Pools every one of ``attributes`` is paired with.
+
+        Visited in target order, never in set order, so pooled sums do
+        not depend on the order in which a pairing was built up.
+        """
+        return [
+            self.pools[target]
+            for target in self.targets
+            if all(target in self.pairings.get(a, ()) for a in attributes)
+        ]
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -277,7 +310,7 @@ class StatisticsStore:
             )
         self.attributes = [str(a) for a in payload["attributes"]]
         self.pairings = {
-            str(attribute): {str(t) for t in targets}
+            str(attribute): frozenset(str(t) for t in targets)
             for attribute, targets in payload["pairings"].items()
         }
         self.pools = {
@@ -285,7 +318,6 @@ class StatisticsStore:
             for target, state in payload["pools"].items()
         }
         self._cache.clear()
-        self._cache_version = -1
 
     # ------------------------------------------------------------------
     # Recording
@@ -293,14 +325,14 @@ class StatisticsStore:
 
     def register_attribute(self, attribute: str, paired_targets: set[str]) -> None:
         """Declare a new attribute and the pools it is measured on."""
-        if attribute in self.pairings:
-            self.pairings[attribute] |= set(paired_targets)
-            return
         unknown = set(paired_targets) - set(self.targets)
         if unknown:
             raise ConfigurationError(f"pairing with unknown targets: {unknown}")
+        if attribute in self.pairings:
+            self.pairings[attribute] |= frozenset(paired_targets)
+            return
         self.attributes.append(attribute)
-        self.pairings[attribute] = set(paired_targets)
+        self.pairings[attribute] = frozenset(paired_targets)
 
     def drop_attribute(self, attribute: str) -> None:
         """Remove an attribute from the discovered set.
@@ -337,12 +369,14 @@ class StatisticsStore:
         Pooled mean of ``VarEst_k`` over every example (in any pool)
         with answers for the attribute.
         """
-        return self._memo(("s_c", attribute), lambda: self._compute_s_c(attribute))
+        return self._memo(
+            ("s_c", attribute), lambda: self._compute_s_c(attribute), (attribute,)
+        )
 
     def _compute_s_c(self, attribute: str) -> float:
         estimates: list[np.ndarray] = []
-        for target in self.pairings.get(attribute, ()):  # measured pools only
-            values = self.pools[target].within_variances(attribute)
+        for pool in self._paired_pools(attribute):  # measured pools only
+            values = pool.within_variances(attribute)
             if values.size:
                 estimates.append(values)
         if not estimates:
@@ -376,14 +410,14 @@ class StatisticsStore:
         return self._memo(
             ("denoised", attribute),
             lambda: self._compute_denoised_variance(attribute),
+            (attribute,),
         )
 
     def _compute_denoised_variance(self, attribute: str) -> float:
         firsts: list[float] = []
         seconds: list[float] = []
         single_means: list[float] = []
-        for target in self.pairings.get(attribute, ()):
-            pool = self.pools[target]
+        for pool in self._paired_pools(attribute):
             for index in range(pool.n_measured(attribute)):
                 batch = pool.batch(attribute, index)
                 if len(batch) >= 2:
@@ -416,7 +450,7 @@ class StatisticsStore:
                 return VARIANCE_FLOOR
             return max(float(np.var(values, ddof=1)), VARIANCE_FLOOR)
 
-        return self._memo(("target_var", target), compute)
+        return self._memo(("target_var", target), compute, ())
 
     def target_sigma(self, target: str) -> float:
         """Standard deviation of the true target values."""
@@ -441,6 +475,7 @@ class StatisticsStore:
         return self._memo(
             ("s_o", target, attribute),
             lambda: self._compute_s_o_measured(target, attribute),
+            (attribute,),
         )
 
     def _compute_s_o_measured(self, target: str, attribute: str) -> float | None:
@@ -463,21 +498,26 @@ class StatisticsStore:
         """
         if attribute_a == attribute_b:
             return self._denoised_variance(attribute_a)
+        pooled = self._s_a_pooled(attribute_a, attribute_b)
+        return None if pooled is None else pooled[0]
+
+    def _s_a_pooled(
+        self, attribute_a: str, attribute_b: str
+    ) -> tuple[float, int] | None:
+        """Off-diagonal ``S_a`` entry and the number of examples it covaried."""
         key = ("s_a",) + tuple(sorted((attribute_a, attribute_b)))
         return self._memo(
-            key, lambda: self._compute_s_a_entry(attribute_a, attribute_b)
+            key,
+            lambda: self._compute_s_a_entry(attribute_a, attribute_b),
+            (attribute_a, attribute_b),
         )
 
     def _compute_s_a_entry(
         self, attribute_a: str, attribute_b: str
-    ) -> float | None:
+    ) -> tuple[float, int] | None:
         covariances: list[float] = []
         weights: list[int] = []
-        common = self.pairings.get(attribute_a, set()) & self.pairings.get(
-            attribute_b, set()
-        )
-        for target in common:
-            pool = self.pools[target]
+        for pool in self._paired_pools(attribute_a, attribute_b):
             n = min(pool.n_measured(attribute_a), pool.n_measured(attribute_b))
             if n < 2:
                 continue
@@ -496,7 +536,7 @@ class StatisticsStore:
             weights.append(int(keep_a.size))
         if not covariances:
             return None
-        return float(np.average(covariances, weights=weights))
+        return float(np.average(covariances, weights=weights)), sum(weights)
 
     #: Soft-threshold factor for covariance estimates, in units of their
     #: standard error.  The paper stores |covariances|; for weakly
@@ -508,13 +548,17 @@ class StatisticsStore:
     #: barely touching strong covariances.
     SHRINKAGE_KAPPA = 1.0
 
+    def _mean_variance(self, attribute: str) -> float:
+        """Variance of one example's ``k``-answer mean."""
+        return self._denoised_variance(attribute) + self.s_c(attribute) / self.k
+
     def _s_o_standard_error(self, target: str, attribute: str) -> float:
         """Approximate standard error of the measured ``S_o[t, a]``."""
         pool = self.pool(target)
         n = pool.n_answered(attribute)
         if n < 2:
             return 0.0
-        mean_var = self._denoised_variance(attribute) + self.s_c(attribute) / self.k
+        mean_var = self._mean_variance(attribute)
         target_var = self.target_variance(target)
         measured = self.s_o_measured(target, attribute) or 0.0
         return float(np.sqrt((mean_var * target_var + measured**2) / n))
@@ -525,32 +569,37 @@ class StatisticsStore:
         Shrinks the magnitude toward zero by one standard error while
         preserving the sign.
         """
-        measured = self.s_o_measured(target, attribute)
-        if measured is None:
-            return None
-        standard_error = self._s_o_standard_error(target, attribute)
-        magnitude = max(abs(measured) - self.SHRINKAGE_KAPPA * standard_error, 0.0)
-        return float(np.sign(measured)) * magnitude
+
+        def compute() -> float | None:
+            measured = self.s_o_measured(target, attribute)
+            if measured is None:
+                return None
+            standard_error = self._s_o_standard_error(target, attribute)
+            return _soft_threshold(measured, self.SHRINKAGE_KAPPA * standard_error)
+
+        return self._memo(("s_o_shrunk", target, attribute), compute, (attribute,))
 
     def _s_a_shrunk(self, attribute_a: str, attribute_b: str) -> float | None:
-        """Soft-thresholded off-diagonal ``S_a`` entry."""
-        entry = self.s_a_entry(attribute_a, attribute_b)
-        if entry is None or attribute_a == attribute_b:
-            return entry
-        n = 0
-        common = self.pairings.get(attribute_a, set()) & self.pairings.get(
-            attribute_b, set()
-        )
-        for target in common:
-            pool = self.pools[target]
-            n += min(pool.n_measured(attribute_a), pool.n_measured(attribute_b))
-        if n < 2:
-            return entry
-        var_a = self._denoised_variance(attribute_a) + self.s_c(attribute_a) / self.k
-        var_b = self._denoised_variance(attribute_b) + self.s_c(attribute_b) / self.k
-        standard_error = float(np.sqrt((var_a * var_b + entry**2) / n))
-        magnitude = max(abs(entry) - self.SHRINKAGE_KAPPA * standard_error, 0.0)
-        return float(np.sign(entry)) * magnitude
+        """Soft-thresholded off-diagonal ``S_a`` entry.
+
+        The standard error counts the examples the covariance was
+        actually taken over: examples with an empty (spam-rejected)
+        batch for either attribute do not shrink it.
+        """
+        if attribute_a == attribute_b:
+            return self._denoised_variance(attribute_a)
+
+        def compute() -> float | None:
+            pooled = self._s_a_pooled(attribute_a, attribute_b)
+            if pooled is None:
+                return None
+            entry, n = pooled
+            var_ab = self._mean_variance(attribute_a) * self._mean_variance(attribute_b)
+            standard_error = float(np.sqrt((var_ab + entry**2) / n))
+            return _soft_threshold(entry, self.SHRINKAGE_KAPPA * standard_error)
+
+        key = ("s_a_shrunk",) + tuple(sorted((attribute_a, attribute_b)))
+        return self._memo(key, compute, (attribute_a, attribute_b))
 
     def rho(self, target: str, attribute: str) -> float | None:
         """Measured signed correlation of an attribute with a target.
@@ -618,7 +667,8 @@ class StatisticsStore:
         diag = np.diag(s_a).copy()
         reliable = diag > 2 * VARIANCE_FLOOR
         was_measured = np.array(
-            [self.s_o_measured(target, a) is not None for a in attributes]
+            [self.s_o_measured(target, a) is not None for a in attributes],
+            dtype=bool,
         )
         noise_only = ~reliable & was_measured
         s_o[noise_only] = 0.0

@@ -103,26 +103,6 @@ class Worker(ABC):
 
     # -- helpers ---------------------------------------------------------
 
-    def _resolve_irrelevant(self, domain: Domain, attribute: str) -> str:
-        """Pick a uniformly random attribute genuinely unrelated to ``attribute``.
-
-        An "irrelevant" dismantling answer models a worker suggesting
-        something unhelpful, so it is drawn from the attributes that do
-        *not* co-vary with the one being dismantled (those would be
-        legitimate answers, and the taxonomy already covers them).
-        """
-        related = set(domain.dismantle_distribution(attribute))
-        candidates = [
-            name
-            for name in domain.attributes()
-            if name != attribute
-            and name not in related
-            and not domain.is_relevant(attribute, name)
-        ]
-        if not candidates:
-            candidates = [name for name in domain.attributes() if name != attribute]
-        return str(self._rng.choice(candidates))
-
     def _surface_form(self, domain: Domain, attribute: str, synonym_rate: float) -> str:
         """Possibly replace an attribute name by one of its synonyms."""
         forms = domain.synonyms(attribute)
@@ -198,7 +178,8 @@ class HonestWorker(Worker):
         probabilities = probabilities / probabilities.sum()
         choice = str(names[self._rng.choice(len(names), p=probabilities)])
         if choice == IRRELEVANT:
-            choice = self._resolve_irrelevant(domain, attribute)
+            # A uniformly random attribute genuinely unrelated to this one.
+            choice = str(self._rng.choice(domain.irrelevant_candidates(attribute)))
         return self._surface_form(domain, choice, self.synonym_rate)
 
     def answer_verification(

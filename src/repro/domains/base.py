@@ -152,6 +152,33 @@ class Domain(ABC):
         whose empirical face is the paper's Table 4.
         """
 
+    def irrelevant_candidates(self, attribute: str) -> tuple[str, ...]:
+        """Attributes an "irrelevant" dismantling answer on ``attribute`` may name.
+
+        An irrelevant answer models a worker suggesting something
+        unhelpful, so the candidates are the attributes (in
+        :meth:`attributes` order) that are neither in the attribute's
+        dismantle distribution nor relevant to it — those would be
+        legitimate answers.  When no attribute qualifies, every other
+        attribute is a candidate.  The ground truth is fixed per
+        domain instance, so the list is computed once per attribute.
+        """
+        try:
+            memo = self._irrelevant_memo
+        except AttributeError:
+            memo = self._irrelevant_memo = {}
+        candidates = memo.get(attribute)
+        if candidates is None:
+            related = set(self.dismantle_distribution(attribute))
+            others = [name for name in self.attributes() if name != attribute]
+            candidates = tuple(
+                name
+                for name in others
+                if name not in related and not self.is_relevant(attribute, name)
+            ) or tuple(others)
+            memo[attribute] = candidates
+        return candidates
+
     def synonyms(self, attribute: str) -> tuple[str, ...]:
         """Alternative surface forms workers may use for ``attribute``.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.domains.base import Domain
 from repro.domains.taxonomy import DismantleTaxonomy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownAttributeError
 
 
 def nearest_correlation(matrix: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -153,6 +153,10 @@ class GaussianDomain(Domain):
 
     def n_objects(self) -> int:
         return self._n_objects
+
+    def check_attribute(self, attribute: str) -> None:
+        if attribute not in self._index:
+            raise UnknownAttributeError(attribute)
 
     def is_binary(self, attribute: str) -> bool:
         self.check_attribute(attribute)

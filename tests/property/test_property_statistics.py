@@ -1,5 +1,7 @@
 """Property-based tests for the statistics store invariants."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,3 +122,96 @@ class TestStoreInvariants:
             rho = store.rho("t", attribute)
             if rho is not None:
                 assert -1.0 <= rho <= 1.0
+
+
+# -- the memo against a recompute ------------------------------------------
+
+TARGETS = ("t", "u")
+NAMES = ("t", "u", "a", "b", "c")
+answers = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+operations = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(TARGETS), answers),
+    st.tuples(
+        st.just("record"),
+        st.sampled_from(NAMES),
+        st.sampled_from(TARGETS),
+        st.lists(st.lists(answers, max_size=3), min_size=1, max_size=4),
+    ),
+    st.tuples(
+        st.just("append"),
+        st.sampled_from(NAMES),
+        st.sampled_from(TARGETS),
+        st.integers(0, 8),
+        st.lists(answers, min_size=1, max_size=2),
+    ),
+    st.tuples(
+        st.just("register"),
+        st.sampled_from(NAMES),
+        st.frozensets(st.sampled_from(TARGETS), min_size=1),
+    ),
+    st.tuples(st.just("drop"), st.sampled_from(NAMES[2:])),
+    st.tuples(st.just("restore"), st.integers(0, 100)),
+)
+
+
+def apply(store: StatisticsStore, operation: tuple, snapshots: list[str]) -> None:
+    kind, *args = operation
+    if kind == "add":
+        target, value = args
+        pool = store.pool(target)
+        pool.add_example(len(pool), value)
+    elif kind == "record":
+        attribute, target, batches = args
+        pool = store.pool(target)
+        room = len(pool) - pool.n_measured(attribute)
+        if room > 0:
+            pool.record_answers(attribute, batches[:room])
+    elif kind == "append":
+        attribute, target, index, extra = args
+        pool = store.pool(target)
+        if index < pool.n_measured(attribute):
+            pool.append_to_batch(attribute, index, extra)
+    elif kind == "register":
+        attribute, targets = args
+        store.register_attribute(attribute, set(targets))
+    elif kind == "drop":
+        store.drop_attribute(args[0])
+    else:
+        store.restore_state(json.loads(snapshots[args[0] % len(snapshots)]))
+
+
+def every_statistic(store: StatisticsStore) -> list:
+    """Every statistic the store serves, as exact bytes."""
+    values: list = [store.target_variance(target) for target in TARGETS]
+    for a in NAMES:
+        values += [store.s_c(a), store.answer_variance(a), store._denoised_variance(a)]
+        for target in TARGETS:
+            values += [
+                store.s_o_measured(target, a),
+                store.s_o_shrunk(target, a),
+                store.rho(target, a),
+            ]
+        for b in NAMES:
+            values += [store.s_a_entry(a, b), store._s_a_shrunk(a, b)]
+    exact = [None if v is None else float(v).hex() for v in values]
+    for target in TARGETS:
+        for fill in (None, lambda _store, _target, _attribute: 0.25):
+            matrices = store.assemble(list(store.attributes), target, fill)
+            exact += [matrix.tobytes() for matrix in matrices]
+    return exact
+
+
+class TestMemoMatchesRecompute:
+    @given(st.lists(operations, min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_matches_rebuilt_store(self, script):
+        store = StatisticsStore(TARGETS, k=2)
+        snapshots = [json.dumps(store.state_dict())]
+        every_statistic(store)  # memoize the empty store's statistics too
+        for operation in script:
+            apply(store, operation, snapshots)
+            snapshot = json.dumps(store.state_dict())
+            snapshots.append(snapshot)
+            rebuilt = StatisticsStore(TARGETS, k=2)
+            rebuilt.restore_state(json.loads(snapshot))
+            assert every_statistic(store) == every_statistic(rebuilt), operation

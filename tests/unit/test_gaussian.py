@@ -147,6 +147,35 @@ class TestSampledDomain:
             tiny_domain.dismantle_distribution("target")
         )
 
+    def test_check_attribute_rejects_unknown_names(self, tiny_domain):
+        for attribute in tiny_domain.attributes():
+            tiny_domain.check_attribute(attribute)
+        for attribute in ("nope", "", "Target"):
+            with pytest.raises(UnknownAttributeError):
+                tiny_domain.check_attribute(attribute)
+
+    def test_irrelevant_candidates_keep_attribute_order(self, tiny_domain):
+        # flag_b is the only attribute unrelated to target (corr 0.1),
+        # and unrelated to every other attribute.
+        assert tiny_domain.irrelevant_candidates("target") == ("flag_b",)
+        assert tiny_domain.irrelevant_candidates("flag_b") == (
+            "target",
+            "helper",
+            "flag_a",
+        )
+
+    def test_with_taxonomy_clone_computes_its_own_candidates(self, tiny_domain):
+        from repro.domains.taxonomy import DismantleTaxonomy
+
+        assert tiny_domain.irrelevant_candidates("target") == ("flag_b",)
+        clone = tiny_domain.with_taxonomy(
+            DismantleTaxonomy(edges={"target": {"flag_b": 0.5}})
+        )
+        # flag_b is now a legitimate answer on target, so no attribute
+        # is irrelevant to it and every other attribute is a candidate.
+        assert clone.irrelevant_candidates("target") == ("helper", "flag_a", "flag_b")
+        assert tiny_domain.irrelevant_candidates("target") == ("flag_b",)
+
     def test_too_few_objects_rejected(self):
         with pytest.raises(ConfigurationError):
             GaussianDomain(make_tiny_spec(), n_objects=1)

@@ -58,12 +58,16 @@ class TestExamplePool:
 
     def test_version_bumps_on_mutation(self):
         pool = ExamplePool("t")
-        v0 = pool.version
         pool.add_example(1, 1.0)
-        v1 = pool.version
+        pool.add_example(2, 2.0)
+        assert pool.target_version == 2
         pool.record_answers("a", [[1.0]])
-        v2 = pool.version
-        assert v0 < v1 < v2
+        assert (pool.batch_version("a"), pool.batch_version("b")) == (1, 0)
+        pool.record_answers("b", [[1.0], [2.0]])
+        pool.append_to_batch("a", 0, [3.0])
+        # Each mutation bumps only its own counter.
+        assert pool.target_version == 2
+        assert (pool.batch_version("a"), pool.batch_version("b")) == (2, 1)
 
 
 def build_store(
@@ -260,6 +264,39 @@ class TestEmptyBatchAlignment:
         pool.record_answers("b", [[], [2.0], [], [4.0]])
         assert store.s_a_entry("a", "b") is None
 
+    def test_s_a_shrinkage_counts_only_covaried_examples(self):
+        # 8 examples; 'b' came back empty on 3 of them, so the
+        # covariance is taken over 5 examples and its standard error
+        # must use n=5, not the 8 recorded batches.
+        store = StatisticsStore(("t",), k=2)
+        pool = store.pool("t")
+        for i in range(8):
+            pool.add_example(i, float(i))
+        store.register_attribute("a", {"t"})
+        store.register_attribute("b", {"t"})
+        a = [[1.0, 2.0], [2.0, 2.0], [3.0, 5.0], [4.0, 3.0],
+             [5.0, 6.0], [6.0, 6.0], [7.0, 8.0], [8.0, 7.0]]
+        b = [[1.0, 1.0], [3.0, 2.0], [], [3.0, 4.0],
+             [6.0, 4.0], [], [6.0, 7.0], []]
+        pool.record_answers("a", a)
+        pool.record_answers("b", b)
+        kept = [0, 1, 3, 4, 6]
+        entry = float(
+            np.cov(
+                [np.mean(a[i]) for i in kept], [np.mean(b[i]) for i in kept], ddof=1
+            )[0, 1]
+        )
+        assert store.s_a_entry("a", "b") == pytest.approx(entry)
+        var_a = store.s_a_entry("a", "a") + store.s_c("a") / 2
+        var_b = store.s_a_entry("b", "b") + store.s_c("b") / 2
+
+        def shrunk(n):
+            return entry - np.sqrt((var_a * var_b + entry**2) / n)
+
+        assert store._s_a_shrunk("a", "b") == pytest.approx(shrunk(5))
+        assert store._s_a_shrunk("a", "b") == pytest.approx(2.036, abs=1e-3)
+        assert shrunk(8) == pytest.approx(2.709, abs=1e-3)
+
     def test_no_empty_batches_matches_plain_path(self):
         # Sanity: with no holes the aligned computation is the old one.
         store = build_store(n=60, seed=11)
@@ -293,3 +330,90 @@ class TestMultiPoolStatistics:
         store.pool("t").record_answers("a", [[float(i)] * 2 for i in range(10)])
         store.pool("u").record_answers("b", [[float(i)] * 2 for i in range(10)])
         assert store.s_a_entry("a", "b") is None
+
+
+class TestIncrementalMemo:
+    """The memo recomputes only the entries a mutation can change."""
+
+    @staticmethod
+    def measured_store(m: int, n: int = 30) -> StatisticsStore:
+        rng = np.random.default_rng(5)
+        store = StatisticsStore(("t",), k=2)
+        pool = store.pool("t")
+        for i in range(n):
+            pool.add_example(i, float(rng.normal()))
+        for index in range(m):
+            TestIncrementalMemo.measure(store, f"a{index}", rng)
+        return store
+
+    @staticmethod
+    def measure(store: StatisticsStore, attribute: str, rng) -> None:
+        pool = store.pool("t")
+        store.register_attribute(attribute, {"t"})
+        pool.record_answers(
+            attribute, [list(rng.normal(size=2)) for _ in range(len(pool))]
+        )
+
+    @pytest.fixture
+    def s_a_computations(self, monkeypatch):
+        calls = []
+        compute = StatisticsStore._compute_s_a_entry
+
+        def counting(store, attribute_a, attribute_b):
+            calls.append((attribute_a, attribute_b))
+            return compute(store, attribute_a, attribute_b)
+
+        monkeypatch.setattr(StatisticsStore, "_compute_s_a_entry", counting)
+        return calls
+
+    def test_new_attribute_computes_at_most_m_entries(self, s_a_computations):
+        m = 6
+        store = self.measured_store(m)
+        store.assemble(list(store.attributes), "t")
+        assert len(s_a_computations) == m * (m - 1) // 2
+        s_a_computations.clear()
+        self.measure(store, "new", np.random.default_rng(9))
+        store.assemble(list(store.attributes), "t")
+        assert 0 < len(s_a_computations) <= m
+        assert all("new" in pair for pair in s_a_computations)
+
+    def test_unchanged_store_computes_nothing(self, s_a_computations):
+        store = self.measured_store(4)
+        store.assemble(list(store.attributes), "t")
+        s_a_computations.clear()
+        store.assemble(list(store.attributes), "t")
+        assert s_a_computations == []
+
+    def test_topped_up_batch_recomputes_only_its_row(self, s_a_computations):
+        m = 5
+        store = self.measured_store(m)
+        store.assemble(list(store.attributes), "t")
+        s_a_computations.clear()
+        store.pool("t").append_to_batch("a2", 0, [0.5])
+        store.assemble(list(store.attributes), "t")
+        assert len(s_a_computations) == m - 1
+        assert all("a2" in pair for pair in s_a_computations)
+
+    def test_new_example_recomputes_everything(self, s_a_computations):
+        m = 4
+        store = self.measured_store(m)
+        store.assemble(list(store.attributes), "t")
+        s_a_computations.clear()
+        store.pool("t").add_example(999, 0.0)
+        store.assemble(list(store.attributes), "t")
+        assert len(s_a_computations) == m * (m - 1) // 2
+
+    def test_restore_state_drops_the_memo(self):
+        # A restored pool's counters restart at zero, so only dropping
+        # the memo keeps the empty store's entries from being served.
+        store = StatisticsStore(("t",), k=2)
+        store.register_attribute("a0", {"t"})
+        assert store.s_c("a0") == 0.0
+        store.assemble(["a0"], "t")
+        measured = self.measured_store(1)
+        store.restore_state(measured.state_dict())
+        assert store.s_c("a0") == measured.s_c("a0") > 0.0
+        assert store.target_variance("t") == measured.target_variance("t")
+        restored = store.assemble(["a0"], "t")
+        for got, want in zip(restored, measured.assemble(["a0"], "t")):
+            assert np.array_equal(got, want)
