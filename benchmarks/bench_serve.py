@@ -16,8 +16,8 @@ Built-in correctness gates (hard failures, not just numbers):
 
 * the serve run's estimates for the first query are **byte-identical**
   to the independent baseline run — since the engine generates through
-  the batched :class:`~repro.serve.stream.BatchedValueStream` and the
-  baseline through the scalar per-answer loop, this is also the
+  :meth:`~repro.serve.stream.DeterministicValueStream.answers_many` and
+  the baseline through the scalar per-answer loop, this is also the
   batched-vs-scalar parity gate;
 * at 50% overlap the spend reduction is at least 30%;
 * serving throughput is at least ``SPEEDUP_FLOOR``× the committed

@@ -48,7 +48,7 @@ from repro.serve.report import (
     load_query_file,
     saving_percent,
 )
-from repro.serve.stream import BatchedValueStream, DeterministicValueStream
+from repro.serve.stream import DeterministicValueStream
 
 __all__ = [
     "DECISIONS",
@@ -59,7 +59,6 @@ __all__ = [
     "STATUSES",
     "AdmissionPolicy",
     "AnswerCache",
-    "BatchedValueStream",
     "CacheReadSource",
     "CachedAnswerSource",
     "DegradedResult",

@@ -10,28 +10,24 @@ All from the Crowd*; Rekatsinas et al.'s *CrowdGather*).
 Two :class:`~repro.core.online.AnswerSource` implementations ride on
 the cache:
 
-* :class:`CachedAnswerSource` — the full read-through source: serves
-  cached prefixes, purchases shortfalls through the platform ledger
-  (budget-checked) from a :class:`~repro.serve.stream.
-  DeterministicValueStream`, and records cache-hit savings.  Safe for
-  serial use and for the engine's purchase phase (a lock serializes
-  the charge+journal+insert critical section).
+* :class:`CachedAnswerSource` — the stand-alone scalar oracle: serves
+  cached prefixes of a private cache and purchases shortfalls one
+  fetch at a time through the platform ledger (budget-checked) from a
+  :class:`~repro.serve.stream.DeterministicValueStream`.
 * :class:`CacheReadSource` — the read-only source the engine hands to
   evaluators after a wave's purchases have landed: pure cache reads,
-  no accounting, trivially thread-safe.
+  no accounting.
 
-Durability: every freshly purchased answer can be journaled through
-the existing write-ahead machinery (``journal.record_answer("value",
-key, index, answer)`` — the same record shape the offline
-:class:`~repro.crowd.recording.AnswerRecorder` writes), so
-:func:`~repro.durability.journal.replay_journal` reconstructs the
-cache exactly and a crashed serving run resumes without re-purchasing.
+Durability lives in the engine: every freshly purchased answer is
+journaled through the write-ahead machinery
+(``journal.record_answer("value", key, index, answer)`` — the same
+record shape the offline :class:`~repro.crowd.recording.AnswerRecorder`
+writes), so :func:`~repro.durability.journal.replay_journal`
+reconstructs the cache exactly and a crashed serving run resumes
+without re-purchasing.
 """
 
 from __future__ import annotations
-
-import threading
-from typing import Any
 
 import numpy as np
 
@@ -229,51 +225,20 @@ class AnswerCache:
 
 
 class CachedAnswerSource:
-    """Read-through answer source: cached prefix + purchased shortfall.
+    """Read-through answer source over a private cache: the scalar oracle.
 
-    Parameters
-    ----------
-    platform:
-        Charges shortfalls (budget-checked) and records savings.
-    cache:
-        The shared answer store; a fresh private one when omitted.
-    stream:
-        Deterministic answer generator; built over ``platform`` when
-        omitted.
-    journal:
-        Optional write-ahead journal (duck-typed against
-        :class:`~repro.durability.journal.Journal`); every purchased
-        answer is journaled *before* it joins the cache.
-    metrics:
-        Optional metrics sink for the ``serve.cache.*`` counters.
-    attribute_workers:
-        When True, every fresh purchase also derives and stores the
-        answering worker's id (journaled alongside the answer), so
-        reliability aggregation can weigh the tape later.  Off by
-        default: attribution-free runs keep historical journal and
-        snapshot bytes.
+    Serves the cached prefix of each key and buys the shortfall through
+    the platform ledger (budget-checked) from the scalar
+    :meth:`~repro.serve.stream.DeterministicValueStream.answers`, one
+    fetch at a time.  It is the stand-alone reference the engine's
+    batched waves are measured and tested against: the same answers,
+    bought without cross-query coalescing.
     """
 
-    def __init__(
-        self,
-        platform: CrowdPlatform,
-        cache: AnswerCache | None = None,
-        stream: DeterministicValueStream | None = None,
-        journal: Any = None,
-        metrics: Any = None,
-        attribute_workers: bool = False,
-    ) -> None:
+    def __init__(self, platform: CrowdPlatform) -> None:
         self.platform = platform
-        self.cache = cache if cache is not None else AnswerCache()
-        self.stream = (
-            stream if stream is not None else DeterministicValueStream(platform)
-        )
-        self.journal = journal
-        self.metrics = metrics
-        self.attribute_workers = bool(attribute_workers)
-        #: Serializes charge + journal + cache-insert so concurrent
-        #: fetches cannot double-buy a key or tear the ledger.
-        self._lock = threading.Lock()
+        self.cache = AnswerCache()
+        self.stream = DeterministicValueStream(platform)
 
     def fetch(self, object_id: int, attribute: str, n: int) -> np.ndarray:
         """Up to ``n`` answers: cached prefix plus purchased shortfall.
@@ -284,58 +249,20 @@ class CachedAnswerSource:
         """
         if n <= 0:
             return _EMPTY
-        with self._lock:
-            cached = self.cache.count(object_id, attribute)
-            hits = min(cached, n)
-            shortfall = n - hits
-            if shortfall:
-                # Budget check happens inside charge_values, *before*
-                # the charge; generation is pure and cannot fail.
-                self.platform.charge_values(attribute, shortfall)
-                fresh = self.stream.answers(object_id, attribute, cached, shortfall)
-                worker_ids = None
-                if self.attribute_workers:
-                    worker_ids = self.stream.worker_ids(
-                        object_id, attribute, cached, shortfall
-                    )
-                if self.journal is not None:
-                    key = (object_id, attribute)
-                    for offset, answer in enumerate(fresh):
-                        # The worker kwarg only appears when provenance
-                        # is on, so plain journal sinks (and the byte
-                        # format) are untouched by default.
-                        if worker_ids is not None:
-                            self.journal.record_answer(
-                                "value",
-                                key,
-                                cached + offset,
-                                answer,
-                                worker=worker_ids[offset],
-                            )
-                        else:
-                            self.journal.record_answer(
-                                "value", key, cached + offset, answer
-                            )
-                self.cache.add(object_id, attribute, fresh, worker_ids)
-                self.cache.note_misses(shortfall)
-            if hits:
-                self.platform.record_value_savings(attribute, hits)
-                self.cache.note_hits(hits)
-            if self.metrics is not None:
-                if hits:
-                    self.metrics.inc("serve.cache.hits", hits)
-                    self.metrics.inc("serve.answers.saved", hits)
-                if shortfall:
-                    self.metrics.inc("serve.cache.misses", shortfall)
-                    self.metrics.inc("serve.answers.purchased", shortfall)
-            return self.cache.answers(object_id, attribute, n)
-
-    def fetch_attributed(
-        self, object_id: int, attribute: str, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`fetch` plus the worker ids behind the returned span."""
-        values = self.fetch(object_id, attribute, n)
-        return values, self.cache.workers(object_id, attribute, len(values))
+        cached = self.cache.count(object_id, attribute)
+        hits = min(cached, n)
+        shortfall = n - hits
+        if shortfall:
+            # Budget check happens inside charge_values, *before* the
+            # charge; generation is pure and cannot fail.
+            self.platform.charge_values(attribute, shortfall)
+            fresh = self.stream.answers(object_id, attribute, cached, shortfall)
+            self.cache.add(object_id, attribute, fresh)
+            self.cache.note_misses(shortfall)
+        if hits:
+            self.platform.record_value_savings(attribute, hits)
+            self.cache.note_hits(hits)
+        return self.cache.answers(object_id, attribute, n)
 
 
 class CacheReadSource:

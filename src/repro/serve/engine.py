@@ -11,7 +11,7 @@ and runs four phases:
    same key coalesce into a single purchase of the maximum shortfall —
    the cross-query batching this engine exists for.
 2. **Generation** (pure).  Produce every shortfall answer in one
-   batched call: :meth:`~repro.serve.stream.BatchedValueStream.
+   batched call: :meth:`~repro.serve.stream.DeterministicValueStream.
    answers_many` (fault-free) or :meth:`~repro.serve.faults.
    ResilientValueStream.purchase_batch` (fault-injected).  Every
    answer — and every fault roll, retry and worker redraw around it —
@@ -94,7 +94,7 @@ from repro.serve.degrade import (
 )
 from repro.serve.faults import KeyPurchase, ResilientValueStream
 from repro.serve.report import QueryRequest, QueryResult, ServeReport
-from repro.serve.stream import BatchedValueStream
+from repro.serve.stream import DeterministicValueStream
 
 #: Journal and checkpoint filenames under the engine's checkpoint_dir
 #: (distinct from the offline pipeline's files so one directory can
@@ -259,11 +259,10 @@ class ServeEngine:
         self.plan_source = plan_source
         self.max_queue = max_queue
         self.wave_size = wave_size
-        # The batched stream is a strict superset of the scalar one
-        # (same class contract, same per-coordinate generators); waves
-        # generate through answers_many / purchase_batch and fall back
-        # to the scalar path lane by lane where the kernels reject.
-        self.stream = BatchedValueStream(platform, seed)
+        # Waves generate through answers_many / purchase_batch; the
+        # scalar per-coordinate generators replay only the lanes (or,
+        # under faults, the keys) the batched kernels cannot finish.
+        self.stream = DeterministicValueStream(platform, seed)
         self._clock = clock
         self.shed_expired = shed_expired
         self.chaos = chaos
@@ -292,7 +291,6 @@ class ServeEngine:
         self._seen_ids: set[str] = set()
         self._checkpointed: dict[str, QueryResult] = {}
         self._price_of: dict[str, float] = {}
-        self._priors: dict[str, float] = {}
         self._batches = 0
         self._coalesced = 0
         self._peak_queue = 0
@@ -557,7 +555,19 @@ class ServeEngine:
         served from whatever the shared cache holds when its wave
         runs, and any term the cache cannot fully cover degrades with
         reason ``"admission"``.
+
+        Object ids outside ``[0, domain.n_objects())`` are refused with
+        a :class:`~repro.errors.ConfigurationError` before any plan is
+        routed or anything is queued, so one bad query cannot take its
+        wave down.
         """
+        n_objects = self.platform.domain.n_objects()
+        outside = [oid for oid in request.object_ids if not 0 <= oid < n_objects]
+        if outside:
+            raise ConfigurationError(
+                f"query {request.query_id!r} names {len(outside)} object id(s) "
+                f"outside the table's range [0, {n_objects}), e.g. {outside[0]}"
+            )
         if plans is None:
             if self.plan_source is None:
                 raise ConfigurationError(
@@ -661,13 +671,8 @@ class ServeEngine:
 
     def _prior_variance(self, attribute: str) -> float:
         """Range-based prior variance ``(span/4)²`` for a zero-answer term."""
-        prior = self._priors.get(attribute)
-        if prior is None:
-            canonical, _ = self.stream.resolve(attribute)
-            low, high = self.stream.domain.answer_range(canonical)
-            prior = ((high - low) / 4.0) ** 2
-            self._priors[attribute] = prior
-        return prior
+        info = self.stream.attribute(attribute)
+        return ((info.high - info.low) / 4.0) ** 2
 
     def _kill_point(self, phase: str) -> None:
         """Chaos hook: crash at a configured ``serve.*`` phase boundary."""

@@ -45,7 +45,7 @@ from repro.crowd.faults import (
     draw_outcome,
     plausible_value,
 )
-from repro.serve.stream import BatchedValueStream, DeterministicValueStream
+from repro.serve.stream import AnswerRequest, DeterministicValueStream, seed_words
 from repro.serve.vecrng import uniform_doubles, ziggurat_exponentials
 
 
@@ -93,9 +93,9 @@ class ResilientValueStream:
     policy:
         Retry budget, backoff and question timeout.
     seed:
-        Fault-stream seed.  Must differ from the answer-stream seed
-        (the engine decorrelates it) so fault rolls never correlate
-        with answer noise.
+        Fault-stream seed, any non-negative integer.  Must differ from
+        the answer-stream seed (the engine decorrelates it) so fault
+        rolls never correlate with answer noise.
     """
 
     def __init__(
@@ -109,21 +109,8 @@ class ResilientValueStream:
         self.profile = profile
         self.policy = policy
         self.seed = int(seed)
+        seed_words(self.seed)  # refuse a negative seed up front
         self._rates: FaultRates = profile.rates_for("value")
-        # Attribute resolution is pure; memoize it per surface form the
-        # same way DeterministicValueStream._resolve does, so a
-        # purchase resolves each key once instead of per call.
-        self._resolved: dict[str, tuple[str, int, float, float]] = {}
-
-    def _resolve_key(self, attribute: str) -> tuple[str, int, float, float]:
-        """``(canonical, attr_key, low, high)`` for one attribute, memoized."""
-        cached = self._resolved.get(attribute)
-        if cached is None:
-            canonical, attr_key = self.stream.resolve(attribute)
-            low, high = self.stream.domain.answer_range(canonical)
-            cached = (canonical, attr_key, float(low), float(high))
-            self._resolved[attribute] = cached
-        return cached
 
     def _draw_worker(self, rng: np.random.Generator, blocked: frozenset[int]):
         """Sample a worker, redrawing around the frozen quarantine set.
@@ -157,14 +144,14 @@ class ResilientValueStream:
         index, attempt)`` coordinates and ``blocked`` — never on call
         order or purchase batching.
         """
-        canonical, attr_key, low, high = self._resolve_key(attribute)
+        info = self.stream.attribute(attribute)
         domain = self.stream.domain
         result = KeyPurchase()
         for index in range(start, start + count):
             obtained = False
             for attempt in range(self.policy.max_attempts):
                 rng = np.random.default_rng(
-                    [self.seed, int(object_id), attr_key, int(index), attempt]
+                    [self.seed, int(object_id), info.key, int(index), attempt]
                 )
                 if attempt:
                     result.retries += 1
@@ -181,11 +168,11 @@ class ResilientValueStream:
                     result.abandons += 1
                     result.attempts.append(Attempt(worker.worker_id, True))
                     continue
-                answer = worker.answer_value(domain, object_id, canonical, rng)
+                answer = worker.answer_value(domain, object_id, info.canonical, rng)
                 if outcome.kind is FaultKind.GARBAGE:
-                    answer = corrupted_value((low, high), rng)
+                    answer = corrupted_value((info.low, info.high), rng)
                     result.garbage += 1
-                if plausible_value(answer, low, high):
+                if plausible_value(answer, info.low, info.high):
                     result.attempts.append(Attempt(worker.worker_id, False))
                     result.answers.append(float(answer))
                     obtained = True
@@ -197,7 +184,7 @@ class ResilientValueStream:
 
     def purchase_batch(
         self,
-        requests: Sequence[tuple[int, str, int, int]],
+        requests: Sequence[AnswerRequest],
         blocked: frozenset[int],
     ) -> list[KeyPurchase]:
         """Batched :meth:`purchase` over many keys.
@@ -206,8 +193,8 @@ class ResilientValueStream:
         answer succeeds on its first attempt, so the batch computes all
         first attempts vectorized — worker draw, latency, fault roll,
         answer value and plausibility check as array ops over every
-        lane at once — and falls back to the scalar :meth:`purchase`
-        only for keys where *any* lane deviates from that fast path:
+        lane at once — and replays through the scalar :meth:`purchase`
+        only the keys where *any* lane deviates from that fast path:
         an actual fault, a quarantined-worker redraw, a kernel
         rejection (Lemire / ziggurat) or a worker type without a
         vectorized contract.  Results are byte-identical to calling
@@ -216,33 +203,20 @@ class ResilientValueStream:
         if not requests:
             return []
         stream = self.stream
-
-        def scalar() -> list[KeyPurchase]:
-            return [
-                self.purchase(obj, attr, start, count, blocked)
-                for obj, attr, start, count in requests
-            ]
-
-        if not isinstance(stream, BatchedValueStream):
-            return scalar()
-        if not sum(count for _, _, _, count in requests):
-            return [KeyPurchase() for _ in requests]
-        metas = [stream.key_meta(obj, attr) for obj, attr, _, _ in requests]
-        lanes = stream.batch_lanes(requests, metas, self.seed, attempt_column=True)
-        if lanes is None:
-            return scalar()
-        counts, index_lane, tape, widx, ok = lanes
+        infos = [stream.attribute(attr) for _, attr, _, _ in requests]
+        counts, _, tape, widx, ok = stream.batch_lanes(
+            requests, infos, self.seed, attempt_column=True
+        )
         total = int(counts.sum())
 
-        worker_ids, proneness = stream.fault_columns()
-        wid_lane = worker_ids[widx]
+        wid_lane = stream.worker_id_column[widx]
         if blocked:
             # Any quarantined-worker hit redraws in the scalar path;
             # send the whole key there.
             ok &= ~np.isin(wid_lane, np.fromiter(blocked, dtype=np.int64))
 
         rates = self._rates
-        prone_lane = proneness[widx]
+        prone_lane = stream.proneness_column[widx]
         if rates.latency_mean > 0:
             exps, exp_ok = ziggurat_exponentials(tape.next64())
             ok &= exp_ok
@@ -258,15 +232,13 @@ class ResilientValueStream:
         threshold = threshold + p_garbage
         ok &= roll >= threshold  # any fault kind → scalar replay
 
-        values, math_ok = stream._worker_math(metas, counts, widx, tape.next64())
+        values, math_ok = stream._worker_math(
+            requests, infos, counts, widx, tape.next64()
+        )
         ok &= math_ok
 
-        low = np.repeat(
-            np.array([meta.low for meta in metas], dtype=np.float64), counts
-        )
-        high = np.repeat(
-            np.array([meta.high for meta in metas], dtype=np.float64), counts
-        )
+        low = np.repeat(np.array([info.low for info in infos]), counts)
+        high = np.repeat(np.array([info.high for info in infos]), counts)
         margin = VALUE_MARGIN_SPANS * np.maximum(high - low, 1.0)
         ok &= np.isfinite(values)
         ok &= values >= low - margin

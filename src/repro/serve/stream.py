@@ -5,21 +5,19 @@ question, which makes answers depend on global question order — fine
 for a serial research script, fatal for a serving engine that must give
 the same answers however its queries are batched into waves and
 whatever order it buys them in.  :class:`DeterministicValueStream`
-removes the shared
-state: answer ``i`` for ``(object, attribute)`` is a pure function of
-``(seed, object_id, attribute, i)``.  Each answer derives its own
-:class:`numpy.random.Generator` from that tuple, draws a worker index
-from it (uniform over the pool, matching
-:meth:`~repro.crowd.pool.WorkerPool.draw`), and asks that worker for
-its value answer (:meth:`~repro.crowd.worker.Worker.answer_value`),
-passing the same generator instead of the worker's private one — the
-one answer model the offline platform uses, fed from a pure
-per-coordinate stream.
+removes the shared state: answer ``i`` for ``(object, attribute)`` is a
+pure function of ``(seed, object_id, attribute, i)``, defined by its own
+generator ``default_rng([seed, object_id, crc32(attribute), i])``.  That
+generator draws a worker index (uniform over the pool, matching
+:meth:`~repro.crowd.pool.WorkerPool.draw`) and is handed to that
+worker's :meth:`~repro.crowd.worker.Worker.answer_value` in place of the
+worker's private one — the one answer model the offline platform uses,
+fed from a pure per-coordinate stream.
 
 Consequences, all load-bearing for the serving engine:
 
-* **order independence** — concurrent purchases, batch coalescing and
-  thread scheduling cannot change any answer;
+* **order independence** — concurrent purchases and batch coalescing
+  cannot change any answer;
 * **resumability** — a crashed run's cache can be rebuilt from the
   journal and the stream continues at index ``len(cache)`` with the
   exact answers an uninterrupted run would have produced;
@@ -30,21 +28,27 @@ Consequences, all load-bearing for the serving engine:
 Attribute names are folded in via ``zlib.crc32`` (stable across
 processes and Python versions), never ``hash()`` (salted per process).
 
-:class:`BatchedValueStream` keeps the per-coordinate generators as the
-source of truth but derives a whole wave's draws at once through the
-vectorized kernels in :mod:`repro.serve.vecrng`: one entropy matrix row
-per answer coordinate, one batched PCG64 step per draw, and the worker
-math of the honest, biased and spam types applied as array ops
-(:meth:`BatchedValueStream._worker_math`).  Lanes the kernels cannot
-finish exactly — ziggurat wedge/tail rejections, Lemire redraws, any
-other worker type — are replayed through the scalar
-:meth:`DeterministicValueStream.answer`, so the batched stream is
-byte-identical to the scalar one on every lane.
+One class, two ways through it.  :meth:`DeterministicValueStream.
+answers_many` is the wave path: it derives every coordinate's generator
+at once through the vectorized kernels in :mod:`repro.serve.vecrng` —
+one entropy-matrix row per answer, one batched PCG64 step per draw —
+and applies the honest, biased and spam worker math as array ops
+(:meth:`DeterministicValueStream._worker_math`).  The seed enters that
+matrix as the little-endian uint32 words numpy's ``SeedSequence`` splits
+it into (:func:`seed_words`), so every non-negative seed takes the
+batched path.  :meth:`~DeterministicValueStream.answer` and
+:meth:`~DeterministicValueStream.answers` build the real per-coordinate
+generators one by one: they are the oracle the batched path is tested
+against, and the per-lane replay for the lanes the kernels cannot
+finish exactly (ziggurat wedge/tail, Lemire redraws, any other worker
+type), so the batched values are byte-identical to the scalar ones on
+every lane.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +56,7 @@ import numpy as np
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker
 from repro.domains.base import Domain
+from repro.errors import ConfigurationError
 from repro.serve.vecrng import (
     CoordinateStreams,
     lemire_integers,
@@ -59,12 +64,65 @@ from repro.serve.vecrng import (
     ziggurat_normals,
 )
 
-_U32_BOUND = 1 << 32
+#: ``(object_id, attribute, start, count)``: one key's answer span.
+AnswerRequest = tuple[int, str, int, int]
+
+# Worker-archetype codes for the batched kernels.  Only *exact* types
+# are classified — a subclass may override the scalar method, so its
+# lanes are replayed scalar rather than silently diverging.
+_KIND_HONEST = 0
+_KIND_BIASED = 1
+_KIND_SPAM = 2
+_KIND_OPAQUE = 3
+_KINDS = {
+    HonestWorker: _KIND_HONEST,
+    BiasedWorker: _KIND_BIASED,
+    SpamWorker: _KIND_SPAM,
+}
 
 
 def _attribute_key(attribute: str) -> int:
     """A process-stable 32-bit key for one attribute name."""
     return zlib.crc32(attribute.encode("utf-8")) & 0xFFFFFFFF
+
+
+def _lanes(column: list, counts: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Repeat one value per request across that request's lanes."""
+    return np.repeat(np.array(column, dtype=dtype), counts)
+
+
+def seed_words(seed: int) -> list[int]:
+    """The uint32 entropy words ``SeedSequence`` splits one seed into.
+
+    ``default_rng([seed, ...])`` coerces each list element to its
+    little-endian uint32 words (zero is one word), so a seed of ``2**32``
+    or more contributes two or more words ahead of the object column.
+    Raises :class:`~repro.errors.ConfigurationError` for a negative
+    seed, which numpy cannot seed from.
+    """
+    if seed < 0:
+        raise ConfigurationError(f"stream seeds must be non-negative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    return words
+
+
+@dataclass(frozen=True)
+class AttributeInfo:
+    """One attribute's stream constants, resolved against the domain once."""
+
+    canonical: str
+    #: crc32 of the canonical name: the generator's attribute coordinate.
+    key: int
+    #: True values, indexed by object id.
+    truths: np.ndarray
+    noise_var: float
+    binary: bool
+    low: float
+    high: float
 
 
 class DeterministicValueStream:
@@ -77,47 +135,79 @@ class DeterministicValueStream:
         resolution (synonym surface forms map to the same canonical
         attribute, hence the same stream).
     seed:
-        Stream seed; defaults to the platform's own seed so a serving
-        run is pinned by the same single number as everything else.
+        Stream seed, any non-negative integer; defaults to the
+        platform's own seed so a serving run is pinned by the same
+        single number as everything else.
     """
 
     def __init__(self, platform: CrowdPlatform, seed: int | None = None) -> None:
         self.platform = platform
         self.domain: Domain = platform.domain
         self.seed = int(platform._seed if seed is None else seed)
-        self._workers = platform.pool.workers
-        # Canonical resolution is pure; memoize it off the hot path.
-        self._canonical: dict[str, str] = {}
-        self._attr_keys: dict[str, int] = {}
+        seed_words(self.seed)  # refuse a negative seed up front
+        workers = platform.pool.workers
+        self._workers = workers
+        self._attributes: dict[str, AttributeInfo] = {}
+        self._bias_rows: dict[str, np.ndarray] = {}
+        # Pool-order worker columns for the batched kernels.
+        self._kinds = np.array(
+            [_KINDS.get(type(worker), _KIND_OPAQUE) for worker in workers],
+            dtype=np.int64,
+        )
+        self._skills = np.array(
+            [
+                worker.skill if kind in (_KIND_HONEST, _KIND_BIASED) else 0.0
+                for worker, kind in zip(workers, self._kinds.tolist())
+            ],
+            dtype=np.float64,
+        )
+        #: Pool-order worker ids and fault proneness (the fault path's
+        #: lane columns).
+        self.worker_id_column = np.array(
+            [worker.worker_id for worker in workers], dtype=np.int64
+        )
+        self.proneness_column = np.array(
+            [worker.fault_proneness for worker in workers], dtype=np.float64
+        )
 
-    def _resolve(self, attribute: str) -> tuple[str, int]:
-        canonical = self._canonical.get(attribute)
-        if canonical is None:
-            canonical = self.platform.resolve(attribute)
-            self._canonical[attribute] = canonical
-            self._attr_keys[attribute] = _attribute_key(canonical)
-        return canonical, self._attr_keys[attribute]
+    def attribute(self, attribute: str) -> AttributeInfo:
+        """Constants for one attribute surface form, memoized.
 
-    def resolve(self, attribute: str) -> tuple[str, int]:
-        """``(canonical name, stable 32-bit key)`` for one attribute.
-
-        Public so stream wrappers (the fault-injected serve stream)
-        derive their per-answer generators from the *same* coordinates
-        this stream uses.
+        A wave touches the same few attributes across many objects, so
+        canonical resolution and every domain lookup happen once per
+        surface form; the fault-injected stream and the engine read the
+        same memo.
         """
-        return self._resolve(attribute)
+        info = self._attributes.get(attribute)
+        if info is None:
+            canonical = self.platform.resolve(attribute)
+            domain = self.domain
+            low, high = domain.answer_range(canonical)
+            info = AttributeInfo(
+                canonical=canonical,
+                key=_attribute_key(canonical),
+                truths=np.asarray(domain.true_values(canonical), dtype=np.float64),
+                noise_var=float(domain.difficulty(canonical)),
+                binary=bool(domain.is_binary(canonical)),
+                low=float(low),
+                high=float(high),
+            )
+            self._attributes[attribute] = info
+        return info
 
     @property
     def workers(self):
         """The worker population answers are drawn from (pool order)."""
         return self._workers
 
+    # -- scalar oracle and per-lane replay -------------------------------
+
     def answer(self, object_id: int, attribute: str, index: int) -> float:
         """Answer ``index`` of the ``(object, attribute)`` stream."""
-        canonical, attr_key = self._resolve(attribute)
-        rng = np.random.default_rng([self.seed, int(object_id), attr_key, int(index)])
+        info = self.attribute(attribute)
+        rng = np.random.default_rng([self.seed, int(object_id), info.key, int(index)])
         worker = self._workers[int(rng.integers(0, len(self._workers)))]
-        return worker.answer_value(self.domain, object_id, canonical, rng)
+        return worker.answer_value(self.domain, object_id, info.canonical, rng)
 
     def answers(
         self, object_id: int, attribute: str, start: int, count: int
@@ -126,8 +216,8 @@ class DeterministicValueStream:
 
         Per-index generators (rather than one generator advanced
         ``count`` times) keep every answer independent of how purchases
-        are split into batches.  Returns a float64 ndarray so scalar
-        and batched paths share one answer type end to end.
+        are split into batches.  Returns a float64 ndarray, the answer
+        type :meth:`answers_many` returns too.
         """
         return np.array(
             [
@@ -148,7 +238,7 @@ class DeterministicValueStream:
         seed, so reliability state can be rebuilt for tapes whose
         purchase-time attribution was not recorded.
         """
-        _, attr_key = self._resolve(attribute)
+        attr_key = self.attribute(attribute).key
         n = len(self._workers)
         ids: list[int] = []
         for index in range(start, start + count):
@@ -158,177 +248,23 @@ class DeterministicValueStream:
             ids.append(self._workers[int(rng.integers(0, n))].worker_id)
         return ids
 
-
-class _KeyMeta:
-    """Hoisted per-(object, attribute) constants for batched generation."""
-
-    __slots__ = (
-        "canonical",
-        "attr_key",
-        "truth",
-        "noise_var",
-        "binary",
-        "low",
-        "high",
-    )
-
-    def __init__(
-        self,
-        canonical: str,
-        attr_key: int,
-        truth: float,
-        noise_var: float,
-        binary: bool,
-        low: float,
-        high: float,
-    ) -> None:
-        self.canonical = canonical
-        self.attr_key = attr_key
-        self.truth = truth
-        self.noise_var = noise_var
-        self.binary = binary
-        self.low = low
-        self.high = high
-
-
-# Worker-archetype codes for the batched kernels.  Only *exact* types
-# are classified — a subclass may override the scalar method, so its
-# lanes take the scalar fallback rather than silently diverging.
-_KIND_HONEST = 0
-_KIND_BIASED = 1
-_KIND_SPAM = 2
-_KIND_OPAQUE = 3
-
-
-class BatchedValueStream(DeterministicValueStream):
-    """Wave-batched answer generation, bit-identical to the scalar stream.
-
-    The per-coordinate generator contract is untouched — answer ``i``
-    of ``(object, attribute)`` is still defined by
-    ``default_rng([seed, object, crc32(attr), i])`` — but the
-    derivation runs through :class:`~repro.serve.vecrng.
-    CoordinateStreams` for a whole wave of coordinates at once: one
-    batched draw for the worker index (Lemire), one for the noise
-    variate (ziggurat normal, reinterpreted as a unit uniform on spam
-    lanes — both consume exactly one raw draw on accept), then the
-    worker math as array ops grouped by attribute.
-
-    Fallback rules (each replays the affected scope through the scalar
-    path, preserving byte identity):
-
-    * coordinate outside uint32 (seed/object/index) → whole batch;
-    * Lemire or ziggurat rejection → that lane;
-    * worker whose exact type has no vectorized contract → that lane.
-    """
-
-    def __init__(self, platform: CrowdPlatform, seed: int | None = None) -> None:
-        super().__init__(platform, seed)
-        self._key_meta: dict[tuple[int, str], _KeyMeta] = {}
-        self._attr_info: dict[
-            str, tuple[str, int, np.ndarray, float, bool, float, float]
-        ] = {}
-        self._bias_rows: dict[str, np.ndarray] = {}
-        self._kinds: np.ndarray | None = None
-        self._skills: np.ndarray | None = None
-        self._worker_ids: np.ndarray | None = None
-        self._proneness: np.ndarray | None = None
-
-    def _attr_constants(
-        self, attribute: str
-    ) -> tuple[str, int, np.ndarray, float, bool, float, float]:
-        """Attribute-level constants, resolved against the domain once.
-
-        A wave touches the same few attributes across many objects, so
-        everything except the per-object truth is hoisted here and
-        per-key meta construction reduces to one array index.
-        """
-        info = self._attr_info.get(attribute)
-        if info is None:
-            canonical, attr_key = self.resolve(attribute)
-            domain = self.domain
-            low, high = domain.answer_range(canonical)
-            info = (
-                canonical,
-                attr_key,
-                np.asarray(domain.true_values(canonical), dtype=np.float64),
-                float(domain.difficulty(canonical)),
-                bool(domain.is_binary(canonical)),
-                float(low),
-                float(high),
-            )
-            self._attr_info[attribute] = info
-        return info
-
-    def _meta(self, object_id: int, attribute: str) -> _KeyMeta:
-        key = (object_id, attribute)
-        meta = self._key_meta.get(key)
-        if meta is None:
-            canonical, attr_key, truths, noise_var, binary, low, high = (
-                self._attr_constants(attribute)
-            )
-            meta = _KeyMeta(
-                canonical,
-                attr_key,
-                float(truths[object_id]),
-                noise_var,
-                binary,
-                low,
-                high,
-            )
-            self._key_meta[key] = meta
-        return meta
-
-    def key_meta(self, object_id: int, attribute: str) -> _KeyMeta:
-        """Hoisted per-key constants (public for the fault fast path)."""
-        return self._meta(object_id, attribute)
-
-    def _worker_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pool-order ``(kind, skill)`` columns (built once, lazily)."""
-        if self._kinds is None:
-            kinds = np.empty(len(self._workers), dtype=np.int64)
-            skills = np.zeros(len(self._workers), dtype=np.float64)
-            for i, worker in enumerate(self._workers):
-                kind = {
-                    HonestWorker: _KIND_HONEST,
-                    BiasedWorker: _KIND_BIASED,
-                    SpamWorker: _KIND_SPAM,
-                }.get(type(worker), _KIND_OPAQUE)
-                kinds[i] = kind
-                if kind in (_KIND_HONEST, _KIND_BIASED):
-                    skills[i] = worker.skill
-            self._kinds = kinds
-            self._skills = skills
-        assert self._skills is not None
-        return self._kinds, self._skills
-
-    def fault_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pool-order ``(worker_id, fault_proneness)`` columns."""
-        if self._worker_ids is None:
-            self._worker_ids = np.array(
-                [worker.worker_id for worker in self._workers], dtype=np.int64
-            )
-            self._proneness = np.array(
-                [worker.fault_proneness for worker in self._workers],
-                dtype=np.float64,
-            )
-        assert self._proneness is not None
-        return self._worker_ids, self._proneness
+    # -- batched wave path -------------------------------------------------
 
     def _bias_row(self, canonical: str) -> np.ndarray:
         """Pool-order biases for one attribute (0 off-kind)."""
         row = self._bias_rows.get(canonical)
         if row is None:
-            kinds, _ = self._worker_tables()
             row = np.zeros(len(self._workers), dtype=np.float64)
             for i, worker in enumerate(self._workers):
-                if kinds[i] == _KIND_BIASED:
+                if self._kinds[i] == _KIND_BIASED:
                     row[i] = worker.bias(self.domain, canonical)
             self._bias_rows[canonical] = row
         return row
 
     def _worker_math(
         self,
-        metas: Sequence[_KeyMeta],
+        requests: Sequence[AnswerRequest],
+        infos: Sequence[AttributeInfo],
         counts: np.ndarray,
         widx: np.ndarray,
         raw: np.ndarray,
@@ -344,26 +280,22 @@ class BatchedValueStream(DeterministicValueStream):
         """
         total = int(counts.sum())
         normals, normal_ok = ziggurat_normals(raw)
-        kinds, skills = self._worker_tables()
-        lane_kind = kinds[widx]
+        lane_kind = self._kinds[widx]
         spam = lane_kind == _KIND_SPAM
         ok = normal_ok | spam
         ok &= lane_kind != _KIND_OPAQUE
 
-        truth = np.repeat(
-            np.array([meta.truth for meta in metas], dtype=np.float64), counts
+        truth = _lanes(
+            [info.truths[obj] for (obj, _, _, _), info in zip(requests, infos)],
+            counts,
         )
-        noise_var = np.repeat(
-            np.array([meta.noise_var for meta in metas], dtype=np.float64), counts
-        )
-        binary = np.repeat(
-            np.array([meta.binary for meta in metas], dtype=bool), counts
-        )
+        noise_var = _lanes([info.noise_var for info in infos], counts)
+        binary = _lanes([info.binary for info in infos], counts, bool)
 
         # Honest math over every lane (spam lanes get overwritten, and
         # not-ok lanes are replayed by the caller, so scratch values
         # there are harmless).
-        noise_sd = np.sqrt(skills[widx] * noise_var)
+        noise_sd = np.sqrt(self._skills[widx] * noise_var)
         values = np.multiply(noise_sd, normals)
         values += 0.0
         values += truth
@@ -374,16 +306,13 @@ class BatchedValueStream(DeterministicValueStream):
             # Biases vary per (worker, attribute): gather per attribute
             # group so each group is one pool-row fancy-index.
             group_ids: dict[str, int] = {}
-            gid_col = np.empty(len(metas), dtype=np.int64)
-            names: list[str] = []
-            for i, meta in enumerate(metas):
-                gid = group_ids.setdefault(meta.canonical, len(group_ids))
-                if gid == len(names):
-                    names.append(meta.canonical)
-                gid_col[i] = gid
-            gid_lane = np.repeat(gid_col, counts)
+            for info in infos:
+                group_ids.setdefault(info.canonical, len(group_ids))
+            gid_lane = _lanes(
+                [group_ids[info.canonical] for info in infos], counts, np.int64
+            )
             bias_lane = np.zeros(total, dtype=np.float64)
-            for gid, canonical in enumerate(names):
+            for canonical, gid in group_ids.items():
                 mask = biased & (gid_lane == gid)
                 if mask.any():
                     bias_lane[mask] = self._bias_row(canonical)[widx[mask]]
@@ -391,12 +320,8 @@ class BatchedValueStream(DeterministicValueStream):
             np.clip(values, 0.0, 1.0, out=values, where=biased & binary)
 
         if spam.any():
-            low = np.repeat(
-                np.array([meta.low for meta in metas], dtype=np.float64), counts
-            )
-            high = np.repeat(
-                np.array([meta.high for meta in metas], dtype=np.float64), counts
-            )
+            low = _lanes([info.low for info in infos], counts)
+            high = _lanes([info.high for info in infos], counts)
             spam_vals = (high - low) * uniform_doubles(raw)
             spam_vals += low
             values[spam] = spam_vals[spam]
@@ -405,46 +330,36 @@ class BatchedValueStream(DeterministicValueStream):
 
     def batch_lanes(
         self,
-        requests: Sequence[tuple[int, str, int, int]],
-        metas: Sequence[_KeyMeta],
+        requests: Sequence[AnswerRequest],
+        infos: Sequence[AttributeInfo],
         seed: int,
         attempt_column: bool = False,
-    ):
-        """Per-lane coordinate tape for one request list, or ``None``.
+    ) -> tuple[np.ndarray, np.ndarray, CoordinateStreams, np.ndarray, np.ndarray]:
+        """Per-lane coordinate tape for one request list.
 
         Expands the requests into one lane per answer coordinate
         (request-major), builds the batched PCG64 streams over
-        ``[seed, object, attr_key, index]`` rows (plus a zero attempt
-        column for the fault stream) and performs the batched worker
-        draw.  Returns ``(counts, index_lane, tape, widx, ok)`` or
-        ``None`` when any coordinate falls outside uint32 — the caller
-        must then use the scalar path.
+        ``[seed words, object, attr_key, index]`` rows (plus a zero
+        attempt column for the fault stream) and performs the batched
+        worker draw.  Returns ``(counts, index_lane, tape, widx, ok)``;
+        ``ok`` is False on Lemire-rejected worker draws.
         """
         counts = np.array([count for _, _, _, count in requests], dtype=np.int64)
         total = int(counts.sum())
         starts = np.array([start for _, _, start, _ in requests], dtype=np.int64)
-        obj_col = np.array([obj for obj, _, _, _ in requests], dtype=np.int64)
-        if (
-            not 0 <= int(seed) < _U32_BOUND
-            or int(obj_col.min()) < 0
-            or int(obj_col.max()) >= _U32_BOUND
-            or int(starts.min()) < 0
-            or int((starts + counts).max()) > _U32_BOUND
-        ):
-            return None
-
         offsets = np.cumsum(counts) - counts
         index_lane = np.arange(total, dtype=np.int64)
         index_lane += np.repeat(starts - offsets, counts)
-        entropy = np.empty((total, 5 if attempt_column else 4), dtype=np.uint64)
-        entropy[:, 0] = np.uint64(seed)
-        entropy[:, 1] = np.repeat(obj_col, counts).astype(np.uint64)
-        entropy[:, 2] = np.repeat(
-            np.array([meta.attr_key for meta in metas], dtype=np.uint64), counts
-        )
-        entropy[:, 3] = index_lane.astype(np.uint64)
+
+        words = seed_words(seed)
+        head = len(words)
+        entropy = np.empty((total, head + 3 + int(attempt_column)), dtype=np.uint64)
+        entropy[:, :head] = np.array(words, dtype=np.uint64)
+        entropy[:, head] = _lanes([obj for obj, _, _, _ in requests], counts, np.uint64)
+        entropy[:, head + 1] = _lanes([info.key for info in infos], counts, np.uint64)
+        entropy[:, head + 2] = index_lane.astype(np.uint64)
         if attempt_column:
-            entropy[:, 4] = 0
+            entropy[:, head + 3] = 0
         tape = CoordinateStreams(entropy)
 
         # Draw 1: worker index (consumes nothing when the pool has one
@@ -457,9 +372,7 @@ class BatchedValueStream(DeterministicValueStream):
             ok = np.ones(total, dtype=bool)
         return counts, index_lane, tape, widx, ok
 
-    def answers_many(
-        self, requests: Sequence[tuple[int, str, int, int]]
-    ) -> list[np.ndarray]:
+    def answers_many(self, requests: Sequence[AnswerRequest]) -> list[np.ndarray]:
         """Batched :meth:`answers` over many ``(obj, attr, start, count)``.
 
         Returns one float64 array per request, in request order, each
@@ -467,30 +380,23 @@ class BatchedValueStream(DeterministicValueStream):
         """
         if not requests:
             return []
-        metas = [self._meta(obj, attr) for obj, attr, _, _ in requests]
-        if not sum(count for _, _, _, count in requests):
-            empty = np.empty(0, dtype=np.float64)
-            return [empty[:0] for _ in requests]
-        lanes = self.batch_lanes(requests, metas, self.seed)
-        if lanes is None:
-            return [
-                self.answers(obj, attr, start, count)
-                for obj, attr, start, count in requests
-            ]
-        counts, index_lane, tape, widx, accepted = lanes
+        infos = [self.attribute(attr) for _, attr, _, _ in requests]
+        counts, index_lane, tape, widx, accepted = self.batch_lanes(
+            requests, infos, self.seed
+        )
 
         # Draw 2: the noise variate.  Honest-family lanes read it as a
         # ziggurat normal, spam lanes as a unit uniform — both consume
         # exactly one raw draw on the accept path.
-        values, math_ok = self._worker_math(metas, counts, widx, tape.next64())
+        values, math_ok = self._worker_math(
+            requests, infos, counts, widx, tape.next64()
+        )
         accepted &= math_ok
 
-        rejected = ~accepted
-        if rejected.any():
-            request_lane = np.repeat(
-                np.arange(len(requests), dtype=np.int64), counts
-            )
-            for lane in np.flatnonzero(rejected):
+        rejected = np.flatnonzero(~accepted)
+        if len(rejected):
+            request_lane = np.repeat(np.arange(len(requests), dtype=np.int64), counts)
+            for lane in rejected.tolist():
                 obj, attr, _, _ = requests[request_lane[lane]]
                 values[lane] = self.answer(obj, attr, int(index_lane[lane]))
 

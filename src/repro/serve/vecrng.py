@@ -18,7 +18,8 @@ lanes it could not finish (ziggurat wedge/tail, Lemire rejection),
 which the caller replays through a real per-coordinate ``Generator``.
 Batched and scalar streams are therefore byte-identical by
 construction, and the property suite (``tests/property/
-test_batched_stream.py``) plus the bench identity gates enforce it.
+test_property_serve_batched.py``) plus the bench identity gates
+enforce it.
 
 Algorithms mirrored here (numpy 1.24+ / 2.x, ``PCG64`` XSL-RR):
 
@@ -171,9 +172,10 @@ class CoordinateStreams:
     list that would seed coordinate ``i``'s scalar generator, e.g.
     ``[seed, object_id, attr_key, index]`` (``k = 5`` with a trailing
     attempt column for the fault-injected stream).  Every element must
-    be a non-negative integer below ``2**32`` so each contributes one
-    entropy word; callers with out-of-range coordinates must use the
-    scalar path (:meth:`supports` reports this).
+    be one uint32 entropy word: a seed of ``2**32`` or more is laid out
+    as the several words ``SeedSequence`` splits it into
+    (:func:`repro.serve.stream.seed_words`), and :meth:`supports`
+    reports whether a matrix qualifies.
 
     After construction, :meth:`next64` advances all ``n`` streams one
     step and returns their raw 64-bit outputs — the same sequence each

@@ -188,6 +188,29 @@ class TestAdmissionValidation:
         assert run_cli(argv) == EXIT_CONFIGURATION_ERROR
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_id", [-1, 40])
+    def test_unknown_object_id_is_a_configuration_error(
+        self, tmp_path, capsys, bad_id
+    ):
+        # BASE serves a 40-row table: ids -1 and 40 name no object.
+        path = tmp_path / "queries.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "queries": [
+                        QUERIES["queries"][0],
+                        {"id": "qbad", "targets": ["protein"], "objects": [38, bad_id]},
+                    ]
+                }
+            )
+        )
+        argv = BASE + ["--queries", path, "--checkpoint-dir", tmp_path / "ckpt"]
+        assert run_cli(argv) == EXIT_CONFIGURATION_ERROR
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "'qbad'" in err
+        assert "resume with" not in err
+
     def test_resume_refuses_per_partition_journals(
         self, tmp_path, queries_path, capsys
     ):

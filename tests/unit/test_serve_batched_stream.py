@@ -1,10 +1,12 @@
-"""Unit tests: the batched serve stream is byte-identical to the scalar one.
+"""Unit tests: the batched serve path is byte-identical to the scalar one.
 
-:class:`~repro.serve.stream.BatchedValueStream` must be a drop-in for
-:class:`~repro.serve.stream.DeterministicValueStream`: same values, same
-bits, for any request mix — the engine's workers-1-vs-N determinism gate
-rests on it.  These are the deterministic fixed-seed checks; the
-randomized sweeps live in ``tests/property/test_property_serve_batched.py``.
+:meth:`~repro.serve.stream.DeterministicValueStream.answers_many` (and
+the batched fault path, :meth:`~repro.serve.faults.ResilientValueStream.
+purchase_batch`) must give the same values, same bits, for any request
+mix as the scalar per-coordinate oracle (``answers`` / ``purchase``) —
+the engine's determinism rests on it.  These are the deterministic
+fixed-seed checks; the randomized sweeps live in
+``tests/property/test_property_serve_batched.py``.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pool import WorkerPool
 from repro.crowd.recording import AnswerRecorder
 from repro.crowd.worker import HonestWorker
-from repro.serve import BatchedValueStream, DeterministicValueStream
+from repro.errors import ConfigurationError
+from repro.serve import DeterministicValueStream
 from repro.serve.faults import FaultProfile, ResilientValueStream, RetryPolicy
+from repro.serve.stream import seed_words
 
 REQUESTS = (
     (5, "target", 0, 6),
@@ -35,7 +39,7 @@ def make_platform(tiny_domain, pool=None, seed=3):
 
 
 def assert_streams_agree(platform, requests=REQUESTS, seed=None):
-    batched = BatchedValueStream(platform, seed)
+    batched = DeterministicValueStream(platform, seed)
     scalar = DeterministicValueStream(platform, seed)
     results = batched.answers_many(list(requests))
     assert len(results) == len(requests)
@@ -62,10 +66,45 @@ class TestBatchedValueStream:
         pool = WorkerPool(size=1, seed=5, biased_fraction=1.0)
         assert_streams_agree(make_platform(tiny_domain, pool))
 
-    def test_out_of_range_seed_falls_back_scalar(self, tiny_domain):
-        # A seed beyond uint32 cannot enter the vectorized entropy
-        # matrix; the whole batch must quietly take the scalar path.
-        assert_streams_agree(make_platform(tiny_domain), seed=2**40)
+    def test_large_seed_matches_scalar(self, tiny_domain, monkeypatch):
+        # A seed beyond uint32 enters the entropy matrix as several
+        # words and stays on the batched path: only kernel-rejected
+        # lanes are replayed through the scalar answer.
+        platform = make_platform(tiny_domain)
+        lanes = sum(count for *_, count in REQUESTS)
+        for seed in (2**32, 18_581_050_328, 2**40, 2**63 - 1):
+            assert_streams_agree(platform, seed=seed)
+            stream = DeterministicValueStream(platform, seed)
+            replayed = []
+            scalar_answer = stream.answer
+
+            def counting_answer(*coordinate):
+                replayed.append(coordinate)
+                return scalar_answer(*coordinate)
+
+            monkeypatch.setattr(stream, "answer", counting_answer)
+            stream.answers_many(list(REQUESTS))
+            assert len(replayed) < lanes // 4, seed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 18_581_050_328, 2**70])
+    def test_seed_words_match_seed_sequence(self, seed):
+        coordinate = [seed, 17, 0xDEADBEEF, 3]
+        words = np.array(seed_words(seed) + coordinate[1:], dtype=np.uint32)
+        assert np.array_equal(
+            np.random.SeedSequence(words).generate_state(4),
+            np.random.SeedSequence(coordinate).generate_state(4),
+        )
+
+    def test_negative_seed_rejected(self, tiny_platform):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            DeterministicValueStream(tiny_platform, -1)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ResilientValueStream(
+                DeterministicValueStream(tiny_platform),
+                FaultProfile.uniform(0.1),
+                RetryPolicy(),
+                seed=-5,
+            )
 
     def test_worker_subclass_falls_back_scalar(self, tiny_domain):
         class ShiftedWorker(HonestWorker):
@@ -79,13 +118,13 @@ class TestBatchedValueStream:
         platform = make_platform(tiny_domain, pool)
         assert_streams_agree(platform)
         # The override genuinely fired somewhere in a long span.
-        answers = BatchedValueStream(platform).answers_many(
+        answers = DeterministicValueStream(platform).answers_many(
             [(5, "target", 0, 200)]
         )[0]
         assert (answers > 50.0).any()
 
     def test_empty_request_list(self, tiny_platform):
-        assert BatchedValueStream(tiny_platform).answers_many([]) == []
+        assert DeterministicValueStream(tiny_platform).answers_many([]) == []
 
 
 class TestPurchaseBatch:
@@ -110,7 +149,7 @@ class TestPurchaseBatch:
 
         def build():
             return ResilientValueStream(
-                BatchedValueStream(platform), profile, policy, seed=1234
+                DeterministicValueStream(platform), profile, policy, seed=1234
             )
 
         batch = build().purchase_batch(requests, blocked)
@@ -129,30 +168,9 @@ class TestPurchaseBatch:
             assert got.garbage == expected.garbage
             assert got.sim_seconds == expected.sim_seconds
 
-    def test_scalar_stream_fallback(self, tiny_platform):
-        # A plain DeterministicValueStream has no batched tape; the
-        # batch API must still work, via per-key scalar purchases.
-        profile = FaultProfile.uniform(0.2, latency_mean=0.02)
-        policy = RetryPolicy(max_retries=2, base_delay=0.01)
-        requests = [(5, "target", 0, 4), (1, "flag_a", 0, 3)]
-
-        def build(stream_cls):
-            return ResilientValueStream(
-                stream_cls(tiny_platform), profile, policy, seed=99
-            )
-
-        via_scalar = build(DeterministicValueStream).purchase_batch(
-            requests, frozenset()
-        )
-        batched_stream = build(BatchedValueStream)
-        for request, got in zip(requests, via_scalar):
-            expected = batched_stream.purchase(*request, frozenset())
-            assert got.answers == expected.answers
-            assert got.sim_seconds == expected.sim_seconds
-
     def test_zero_count_keys(self, tiny_platform):
         resilient = ResilientValueStream(
-            BatchedValueStream(tiny_platform),
+            DeterministicValueStream(tiny_platform),
             FaultProfile.uniform(0.1),
             RetryPolicy(max_retries=1),
             seed=5,

@@ -7,7 +7,6 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
 from repro.errors import BudgetExhaustedError
-from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     AnswerCache,
     CachedAnswerSource,
@@ -110,16 +109,6 @@ class TestCachedAnswerSource:
         price = tiny_platform.value_price("target")
         assert tiny_platform.ledger.total_saved == pytest.approx(5 * price)
 
-    def test_metrics_counters(self, tiny_platform):
-        metrics = MetricsRegistry()
-        source = CachedAnswerSource(tiny_platform, metrics=metrics)
-        source.fetch(1, "target", 3)
-        source.fetch(1, "target", 5)
-        assert metrics.counter("serve.answers.purchased") == 5
-        assert metrics.counter("serve.answers.saved") == 3
-        assert metrics.counter("serve.cache.misses") == 5
-        assert metrics.counter("serve.cache.hits") == 3
-
     def test_replay_determinism_across_instances(self, tiny_domain):
         def answers(n):
             platform = CrowdPlatform(
@@ -144,22 +133,6 @@ class TestCachedAnswerSource:
         assert platform.ledger.total_spent == 0
         # A smaller request still fits.
         assert len(source.fetch(1, "target", 2)) == 2
-
-    def test_journal_receives_every_purchase(self, tiny_platform):
-        class Sink:
-            def __init__(self):
-                self.records = []
-
-            def record_answer(self, kind, key, index, item):
-                self.records.append((kind, key, index, item))
-
-        sink = Sink()
-        source = CachedAnswerSource(tiny_platform, journal=sink)
-        got = source.fetch(1, "target", 3)
-        source.fetch(1, "target", 3)  # cache hit: no new records
-        assert [r[2] for r in sink.records] == [0, 1, 2]
-        assert [r[3] for r in sink.records] == got.tolist()
-        assert all(r[0] == "value" and r[1] == (1, "target") for r in sink.records)
 
 
 class TestCacheReadSource:

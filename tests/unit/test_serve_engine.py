@@ -174,6 +174,24 @@ class TestServeEngine:
         with pytest.raises(ConfigurationError):
             engine.submit(QueryRequest("q1", ("target",), (1,)), plan)
 
+    @pytest.mark.parametrize("bad_id", [-1, 200])
+    def test_unknown_object_id_rejected_at_submit(self, tiny_domain, bad_id):
+        # tiny_domain has 200 rows.  The bad query is refused before it
+        # is routed or queued, and the good query queued before it
+        # still serves.
+        def no_routing(request):
+            raise AssertionError("routed a query with unknown object ids")
+
+        engine, _ = make_engine(tiny_domain, plan_source=no_routing)
+        plan = identity_plan("target")
+        engine.submit(QueryRequest("good", ("target",), (0, 199)), plan)
+        with pytest.raises(ConfigurationError, match="'bad'.*outside"):
+            engine.submit(QueryRequest("bad", ("target",), (3, bad_id)))
+        assert engine.queue_depth == 1
+        report = engine.run()
+        assert [r.query_id for r in report.results] == ["good"]
+        assert report.result("good").status == "completed"
+
     def test_missing_plan_target_rejected(self, tiny_domain):
         engine, _ = make_engine(tiny_domain)
         with pytest.raises(ConfigurationError):

@@ -291,3 +291,28 @@ class TestFaultSeedDefaults:
         engine, _ = fault_engine(tiny_domain, fault_seed=123)
         assert engine.resilient is not None
         assert engine.resilient.seed == 123
+
+    def test_default_fault_seed_keeps_the_batched_path(self, tiny_domain):
+        # At platform seed 7 the engine's seed mix gives a fault seed
+        # beyond 2**32.  The batched purchase must still cover the clean
+        # keys: only keys with a fault (or a kernel rejection) are
+        # replayed through the scalar purchase.
+        platform = CrowdPlatform(tiny_domain, recorder=AnswerRecorder(), seed=7)
+        engine = ServeEngine(platform, faults=FaultProfile.uniform(0.08))
+        assert engine.resilient is not None
+        assert engine.resilient.seed >= 2**32
+        replayed = []
+        scalar_purchase = engine.resilient.purchase
+
+        def counting_purchase(*args):
+            replayed.append(args[:2])
+            return scalar_purchase(*args)
+
+        engine.resilient.purchase = counting_purchase
+        plan = identity_plan("target", n_questions=5)
+        for q in range(10):
+            objects = tuple(range(10 * q, 10 * q + 10))
+            engine.submit(QueryRequest(f"q{q}", ("target",), objects), plan)
+        engine.run()
+        shortfall_keys = 100  # ten disjoint 10-object windows, one attribute
+        assert 0 < len(replayed) < shortfall_keys
