@@ -637,8 +637,12 @@ class DisQPlanner:
                     ],
                 )
         else:
-            for target in paired_targets:
-                self._measure_on_pool(attribute, target)
+            # Query order, never set order: string hashing is salted per
+            # process, so iterating the set would reorder crowd questions
+            # with ``PYTHONHASHSEED``.
+            for target in self.query.targets:
+                if target in paired_targets:
+                    self._measure_on_pool(attribute, target)
 
     def _measure_on_pool(self, attribute: str, target: str) -> None:
         pool = self.stats.pool(target)

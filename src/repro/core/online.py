@@ -176,7 +176,7 @@ class OnlineEvaluator:
         if self._aggregator is None:
             return float(np.mean(answers))
         return self._aggregator.aggregate(
-            answers, None if workers is None else list(workers)
+            answers, None if workers is None else workers.tolist()
         )
 
     def estimate_object(self, object_id: int) -> dict[str, float]:

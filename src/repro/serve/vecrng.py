@@ -174,8 +174,8 @@ class CoordinateStreams:
     attempt column for the fault-injected stream).  Every element must
     be one uint32 entropy word: a seed of ``2**32`` or more is laid out
     as the several words ``SeedSequence`` splits it into
-    (:func:`repro.serve.stream.seed_words`), and :meth:`supports`
-    reports whether a matrix qualifies.
+    (:func:`repro.serve.stream.seed_words`); a word of ``2**32`` or more
+    is a ``ValueError``.
 
     After construction, :meth:`next64` advances all ``n`` streams one
     step and returns their raw 64-bit outputs — the same sequence each
@@ -200,14 +200,6 @@ class CoordinateStreams:
         self._hi = state_hi
         self._lo = state_lo
         self._step()
-
-    @staticmethod
-    def supports(entropy: np.ndarray) -> bool:
-        """Whether every entropy word maps to one uint32 (the fast path)."""
-        return bool(
-            entropy.size == 0
-            or (int(entropy.min()) >= 0 and int(entropy.max()) < _U32_BOUND)
-        )
 
     def _step(self) -> None:
         """128-bit LCG step: ``state = state * MULT + inc``."""

@@ -1,5 +1,10 @@
 """Integration tests for the DisQ planner (Algorithm 1 end-to-end)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.disq import DisQParams, DisQPlanner
@@ -128,3 +133,56 @@ class TestParams:
             DisQParams(s_o_estimator="naive").make_fill(), NaiveMeanEstimator
         )
         assert isinstance(DisQParams(s_o_estimator="zero").make_fill(), ZeroEstimator)
+
+
+#: Plans a two-target split-pooling query and prints its serialized
+#: bytes' sha256; run under different ``PYTHONHASHSEED`` values.
+_HASH_SEED_PLAN = """
+import hashlib, json
+from repro.catalog.store import serialize_plan
+from repro.core.disq import DisQParams, DisQPlanner
+from repro.core.model import Query
+from repro.core.online import default_weights
+from repro.crowd.platform import CrowdPlatform
+from repro.domains.recipes import make_recipes_domain
+
+domain = make_recipes_domain(n_objects=100, seed=1)
+targets = ("protein", "calories")
+query = Query(targets=targets, weights=default_weights(domain, targets))
+plan = DisQPlanner(
+    CrowdPlatform(domain, seed=7), query, 4.0, 600.0,
+    DisQParams(n1=25, example_pooling="split"),
+).preprocess()
+body = json.dumps(serialize_plan(plan), sort_keys=True).encode()
+print(hashlib.sha256(body).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_split_pooling_plan_ignores_pythonhashseed(self):
+        # String hashing is salted per process, so any set iteration
+        # that reaches a crowd question reorders the questions — and
+        # the plan — with the hash seed.  Two targets give two set
+        # orders; six seeds see both with near certainty.
+        root = Path(__file__).resolve().parents[2]
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _HASH_SEED_PLAN],
+                cwd=root,
+                env={
+                    "PYTHONPATH": str(root / "src"),
+                    "PYTHONHASHSEED": str(seed),
+                    "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                },
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in range(6)
+        ]
+        digests = []
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            digests.append(out.strip())
+        assert len(set(digests)) == 1, digests

@@ -231,6 +231,134 @@ class TestReliabilityModel:
             ReliabilityModel(gain_cap=0.5)
 
 
+class TestPrecisionMemo:
+    """Precisions are recomputed only after the model's state changes."""
+
+    @staticmethod
+    def observed_model() -> ReliabilityModel:
+        rng = np.random.default_rng(4)
+        model = ReliabilityModel()
+        for key in range(20):
+            values = list(rng.normal(0.0, 0.1, size=4)) + [
+                float(rng.normal(0.0, 6.0))
+            ]
+            model.observe(values, [(key + i) % 4 for i in range(4)] + [8], start=0)
+        return model
+
+    @staticmethod
+    def groups(seed: int) -> list[tuple[list[float], list[int]]]:
+        rng = np.random.default_rng(seed)
+        return [
+            (list(rng.normal(2.0, 0.3, size=4)) + [float(rng.uniform(-9, 9))],
+             [0, 1, 2, 3, 7])
+            for _ in range(12)
+        ]
+
+    @staticmethod
+    def read_everything(model: ReliabilityModel) -> None:
+        aggregator = ReliabilityAggregator(model)
+        values, workers = [0.1, 0.4, 0.2, 3.0], [0, 1, 2, 8]
+        for _ in range(5):
+            model.weights(workers)
+            model.weight(8)
+            model.gain()
+            model.gain(workers)
+            aggregator.aggregate(values, workers)
+            aggregator.effective_count(values, workers)
+
+    @pytest.fixture
+    def recomputes(self, monkeypatch):
+        calls = []
+        compute = ReliabilityModel._compute_precisions
+
+        def counting(model):
+            calls.append(model)
+            return compute(model)
+
+        monkeypatch.setattr(ReliabilityModel, "_compute_precisions", counting)
+        return calls
+
+    def test_unchanged_model_recomputes_nothing(self, recomputes):
+        model = self.observed_model()
+        self.read_everything(model)
+        assert len(recomputes) == 1
+        recomputes.clear()
+        self.read_everything(model)
+        model.precisions()
+        assert recomputes == []
+
+    def test_recording_observe_forces_one_recompute(self, recomputes):
+        model = self.observed_model()
+        before = model.weights([0, 8])
+        recomputes.clear()
+        assert model.observe([0.0, 5.0], [0, 8], start=0) == 1
+        self.read_everything(model)
+        assert len(recomputes) == 1
+        assert model.weights([0, 8]) != before
+
+    @pytest.mark.parametrize(
+        "values, workers",
+        [([3.0], [8]), ([0.0, 9.0, -9.0], [UNATTRIBUTED] * 3)],
+        ids=["index-0-only", "all-unattributed"],
+    )
+    def test_observe_recording_nothing_forces_none(self, recomputes, values, workers):
+        model = self.observed_model()
+        model.weights([0])
+        recomputes.clear()
+        assert model.observe(values, workers, start=0) == 0
+        self.read_everything(model)
+        assert recomputes == []
+
+    def test_fit_recomputes_once_per_sweep(self, recomputes):
+        model = self.observed_model()
+        self.read_everything(model)
+        recomputes.clear()
+        fitted = model.fit(self.groups(5))
+        # One map to center each sweep, one for the fitted result.
+        assert len(recomputes) == model.em_iterations + 1
+        recomputes.clear()
+        self.read_everything(model)
+        assert recomputes == []
+        assert model.precisions() == fitted
+
+    def test_fit_never_centers_with_stale_precisions(self):
+        # A model read before its reset fit must learn exactly what a
+        # fresh model learns from the same tapes.
+        model = self.observed_model()
+        self.read_everything(model)
+        fresh = ReliabilityModel()
+        assert model.fit(self.groups(5)) == fresh.fit(self.groups(5))
+        assert model.state_dict() == fresh.state_dict()
+
+    def test_restore_state_forces_one_recompute(self, recomputes):
+        model = self.observed_model()
+        model.weights([0])
+        other = ReliabilityModel()
+        other.fit(self.groups(6))
+        recomputes.clear()
+        model.restore_state(other.state_dict())
+        self.read_everything(model)
+        assert len(recomputes) == 1
+        assert model.precisions() == other.precisions()
+
+    def test_precisions_copy_is_detached(self):
+        model = self.observed_model()
+        workers = [0, 1, 8, 42]
+        before = model.weights(workers)
+        exposed = model.precisions()
+        for wid in list(exposed):
+            exposed[wid] = 1e9
+        exposed[42] = 1e9
+        assert model.weights(workers) == before
+        assert model.weight(42) == 1.0
+        assert model.precisions() != exposed
+
+    def test_state_dict_carries_no_version(self):
+        model = self.observed_model()
+        model.weights([0])
+        assert set(model.state_dict()) == {"n", "ss"}
+
+
 def identity_plan(target: str, n_questions: int = 4) -> PreprocessingPlan:
     budget = BudgetDistribution({target: n_questions})
     formula = EstimationFormula(target, {target: 1.0}, 0.0, budget)
@@ -263,6 +391,29 @@ class TestServeReliabilityDurability:
         assert payload["agg"]["seen"] == [
             [0, "target", 4], [1, "target", 4], [2, "target", 4]
         ]
+
+    def test_fault_free_provenance_from_batched_draw(self, tiny_domain, tmp_path):
+        # Fault-free waves take worker ids from the batched draw; they
+        # must equal the stream's scalar provenance for every cached key.
+        engine, _ = reliability_engine(tiny_domain, checkpoint_dir=tmp_path)
+        scalar_spans = []
+        scalar = engine.stream.worker_ids
+
+        def counting(*span):
+            scalar_spans.append(span)
+            return scalar(*span)
+
+        engine.stream.worker_ids = counting
+        engine.submit(
+            QueryRequest("q1", ("target",), tuple(range(12))),
+            identity_plan("target", 6),
+        )
+        engine.run()
+        engine.close()
+        assert scalar_spans == []
+        for object_id in range(12):
+            cached = engine.cache.workers(object_id, "target", 6).tolist()
+            assert cached == scalar(object_id, "target", 0, 6)
 
     def test_crash_resume_model_bitwise_identical(self, tiny_domain, tmp_path):
         plan = identity_plan("target")

@@ -57,14 +57,6 @@ class TestCoordinateStreams:
             expected = np.random.PCG64(np.random.SeedSequence(row)).random_raw(1)
             assert raw[lane] == expected[0]
 
-    def test_supports_flags_out_of_range_words(self):
-        assert CoordinateStreams.supports(matrix(ROWS))
-        assert CoordinateStreams.supports(np.empty((0, 4), dtype=np.uint64))
-        assert not CoordinateStreams.supports(
-            np.array([[0, 2**32, 0, 0]], dtype=np.int64)
-        )
-        assert not CoordinateStreams.supports(np.array([[-1, 0, 0, 0]]))
-
     def test_rejects_non_matrix_entropy(self):
         with pytest.raises(ValueError):
             CoordinateStreams(np.zeros(4, dtype=np.uint64))
