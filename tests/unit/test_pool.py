@@ -111,7 +111,7 @@ class TestAdversarialPersonas:
             tiny_domain, pool=pool, recorder=AnswerRecorder(), seed=3
         )
         requests = [(object_id, "target", 0, 12) for object_id in (0, 3, 7)]
-        batched = DeterministicValueStream(platform).answers_many(requests)
+        batched, _ = DeterministicValueStream(platform).answers_many(requests)
         scalar = DeterministicValueStream(platform)
         for (object_id, attribute, start, count), answers in zip(requests, batched):
             np.testing.assert_array_equal(
