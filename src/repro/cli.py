@@ -57,7 +57,7 @@ from repro.domains import (
     make_synthetic_domain,
 )
 from repro.durability import CrashInjector, durability_summary, run_disq
-from repro.errors import CatalogError, ConfigurationError
+from repro.errors import CatalogError, ConfigurationError, DurabilityError
 from repro.experiments import (
     ExperimentConfig,
     coverage_experiment,
@@ -76,7 +76,8 @@ from repro.serve import (
     load_query_file,
 )
 
-#: Exit code for bad configuration (flags, budgets, checkpoint mismatch).
+#: Exit code for bad configuration (flags, budgets) and for a catalog,
+#: checkpoint or journal that cannot be used.
 EXIT_CONFIGURATION_ERROR = 2
 #: Exit code for an unexpected crash mid-run (incl. injected chaos);
 #: distinct from configuration errors so wrappers can decide to resume.
@@ -508,7 +509,6 @@ def cmd_serve(args) -> int:
         resume=args.resume,
         faults=faults,
         chaos=_make_chaos(args),
-        shed_expired=args.shed_expired,
         # A reliability aggregator starts neutral and learns worker
         # trust online, from the spans the engine commits.
         aggregator=params.build_aggregator(),
@@ -833,12 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mean simulated latency seconds (0 disables)",
     )
     serve.add_argument(
-        "--shed-expired",
-        action="store_true",
-        help="shed (instead of degrading) queries whose deadline already "
-        "passed when their wave formed",
-    )
-    serve.add_argument(
         "--admit-reject-depth",
         type=int,
         default=None,
@@ -965,7 +959,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point (``python -m repro ...``).
 
     Exit codes: 0 on success, :data:`EXIT_CONFIGURATION_ERROR` (2) for
-    bad configuration, :data:`EXIT_CRASH` (70) for an unexpected crash
+    bad configuration and for a catalog, checkpoint or journal that
+    cannot be used, :data:`EXIT_CRASH` (70) for an unexpected crash
     mid-run — in which case a ready-to-paste ``--resume`` command is
     printed when a checkpoint directory holds recoverable state.
     """
@@ -977,6 +972,11 @@ def main(argv: list[str] | None = None) -> int:
         # Catalog damage or contention is an operator problem, never a
         # silently-served stale plan: same exit code as bad flags.
         print(f"catalog error: {exc}", file=sys.stderr)
+        return EXIT_CONFIGURATION_ERROR
+    except DurabilityError as exc:
+        # A mismatched checkpoint or a corrupt journal fails the same
+        # way on every resume, so no resume hint is printed.
+        print(f"durability error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION_ERROR
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

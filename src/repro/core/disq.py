@@ -39,7 +39,11 @@ from repro.agg.base import (
 )
 from repro.agg.reliability import ReliabilityModel
 from repro.core.budget import TargetObjective, find_budget_distribution
-from repro.core.dismantling import DismantleScorer, probability_of_new_answer
+from repro.core.dismantling import (
+    DismantleScorer,
+    candidate_ranking,
+    probability_of_new_answer,
+)
 from repro.core.model import BudgetDistribution, PreprocessingPlan, Query
 from repro.core.pairing import NaiveMeanEstimator, PairingRule, ZeroEstimator
 from repro.core.regression import (
@@ -740,16 +744,13 @@ class DisQPlanner:
             loss = cached_loss
 
             def ranking(attribute: str) -> tuple[int, float]:
-                probability = probability_of_new_answer(
-                    self._question_counts.get(attribute, 0)
+                return candidate_ranking(
+                    probability_of_new_answer(
+                        self._question_counts.get(attribute, 0)
+                    ),
+                    gains.get(attribute, 0.0),
+                    loss,
                 )
-                gain = gains.get(attribute, 0.0)
-                score = probability * (gain - loss)
-                if score > 0:
-                    return (1, score)
-                # All-negative regime: rank by expected information
-                # instead (see CandidateScore.ranking for the rationale).
-                return (0, probability * gain)
 
             best_attribute = max(candidates, key=ranking)
             if self.params.stop_on_nonpositive_score:

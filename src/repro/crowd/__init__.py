@@ -24,13 +24,6 @@ from repro.crowd.faults import (
     RetryPolicy,
     SimulatedClock,
 )
-from repro.crowd.questions import (
-    DismantlingQuestion,
-    ExampleQuestion,
-    Question,
-    ValueQuestion,
-    VerificationQuestion,
-)
 from repro.crowd.pricing import Budget, CostLedger, PriceSchedule
 from repro.crowd.worker import BiasedWorker, HonestWorker, SpamWorker, Worker
 from repro.crowd.pool import WorkerPool
@@ -59,8 +52,6 @@ __all__ = [
     "Budget",
     "CostLedger",
     "CrowdPlatform",
-    "DismantlingQuestion",
-    "ExampleQuestion",
     "FaultInjector",
     "FaultKind",
     "FaultProfile",
@@ -69,7 +60,6 @@ __all__ = [
     "HonestWorker",
     "NormalizationMode",
     "PriceSchedule",
-    "Question",
     "ReputationTracker",
     "ResilienceReport",
     "RetryPolicy",
@@ -78,8 +68,6 @@ __all__ = [
     "SimulatedClock",
     "SpamFilter",
     "SpamWorker",
-    "ValueQuestion",
-    "VerificationQuestion",
     "VerificationResult",
     "Worker",
     "WorkerCircuitBreaker",

@@ -438,25 +438,6 @@ class CrowdPlatform:
             answers = kept
         return list(answers), list(worker_ids)
 
-    def ask_value_mean(self, object_id: int, attribute: str, n: int) -> float:
-        """Average of ``n`` value answers — the paper's ``o.a^(n)``.
-
-        Raises :class:`MalformedAnswerError` instead of returning NaN
-        when no usable answer is available (e.g. the spam filter
-        rejected the entire batch): a NaN here would silently poison
-        the downstream ``S_o``/``S_a`` covariance estimates.
-        """
-        answers = self.ask_value(object_id, attribute, n)
-        if answers:
-            mean = float(np.mean(answers))
-            if math.isfinite(mean):
-                return mean
-        raise MalformedAnswerError(
-            "value",
-            f"no usable answers for {attribute!r} on object {object_id} "
-            f"(asked {n})",
-        )
-
     def ask_dismantle(self, attribute: str) -> str:
         """Ask one worker to dismantle ``attribute``; returns the
         (normalizer-processed) suggested attribute name."""

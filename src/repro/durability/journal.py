@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,6 +304,10 @@ class JournalReplay:
         ``(object_id, attribute) -> answers lost to exhausted retries``
         (the serving engine's fault-stream cursor offsets; empty for
         offline journals and fault-free serving runs).
+    kinds:
+        Records replayed per record kind, so a reader that expects only
+        some kinds (the serving engine writes ``value`` and ``lost``)
+        can refuse a journal holding others.
     """
 
     recorder: AnswerRecorder
@@ -310,6 +315,7 @@ class JournalReplay:
     record_count: int
     resumes: int
     lost: dict = field(default_factory=dict)
+    kinds: Counter = field(default_factory=Counter)
 
 
 def _apply_answer(recorder: AnswerRecorder, record: dict) -> None:
@@ -385,8 +391,10 @@ def replay_journal(path: str | Path) -> JournalReplay:
     ledger = CostLedger()
     resumes = 0
     lost: dict = {}
+    kinds: Counter = Counter()
     for record in records:
         kind = record.get("kind")
+        kinds[kind] += 1
         if kind in ANSWER_KINDS:
             _apply_answer(recorder, record)
         elif kind == "lost":
@@ -420,4 +428,5 @@ def replay_journal(path: str | Path) -> JournalReplay:
         record_count=len(records),
         resumes=resumes,
         lost=lost,
+        kinds=kinds,
     )

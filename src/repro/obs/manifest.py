@@ -28,10 +28,10 @@ uploaded manifests against.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
+from repro.durability.checkpoint import atomic_write_text
 from repro.errors import ConfigurationError
 
 #: Bumped whenever a field is added, renamed, or re-typed.
@@ -547,23 +547,6 @@ def validate_manifest(manifest: dict, schema: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via write-temp-then-rename.
-
-    A reader (or a crash) can only ever observe the old complete file or
-    the new complete file, never a partial write.
-    """
-    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
-
-
 def write_manifest(path: str | Path, manifest: dict) -> Path:
     """Validate and atomically write ``manifest`` as pretty JSON.
 
@@ -573,10 +556,7 @@ def write_manifest(path: str | Path, manifest: dict) -> Path:
     """
     validate_manifest(manifest)
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(
-        target, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return target
 
 

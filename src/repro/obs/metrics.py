@@ -61,9 +61,11 @@ from repro.errors import ConfigurationError
 class MetricsRegistry:
     """A mutable registry of named counters and gauges.
 
-    Writes are guarded by a lock: the serving engine's parallel
-    evaluation phase increments counters from worker threads, and an
-    unguarded read-modify-write would lose updates under contention.
+    Writes are guarded by a lock.  Nothing in the library writes from
+    more than one thread today (the serving engine runs every wave on
+    the calling thread), but a registry is a shared object handed to
+    callers, and an unguarded read-modify-write would lose updates if
+    two threads ever incremented the same counter.
     """
 
     __slots__ = ("_counters", "_gauges", "_lock")

@@ -18,13 +18,15 @@ the cache:
   evaluators after a wave's purchases have landed: pure cache reads,
   no accounting.
 
-Durability lives in the engine: every freshly purchased answer is
-journaled through the write-ahead machinery
+Durability lives in the engine, not here: the cache persists only
+through :meth:`AnswerCache.snapshot` in the wave checkpoint.  Every
+freshly purchased answer is journaled write-ahead
 (``journal.record_answer("value", key, index, answer)`` — the same
 record shape the offline :class:`~repro.crowd.recording.AnswerRecorder`
-writes), so :func:`~repro.durability.journal.replay_journal`
-reconstructs the cache exactly and a crashed serving run resumes
-without re-purchasing.
+writes).  On resume the engine decodes that journal with
+:func:`~repro.durability.journal.replay_journal` and appends each key's
+post-checkpoint tail to the restored cache, so a crashed serving run
+resumes without re-purchasing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from repro.agg.base import UNATTRIBUTED
 from repro.crowd.platform import CrowdPlatform
-from repro.crowd.recording import AnswerRecorder
 from repro.errors import ConfigurationError
 from repro.serve.stream import DeterministicValueStream
 
@@ -204,23 +205,6 @@ class AnswerCache:
                 cache._workers[key] = _frozen_workers(entry["workers"])
         cache.hits = int(payload.get("hits", 0))
         cache.misses = int(payload.get("misses", 0))
-        return cache
-
-    @classmethod
-    def from_recorder(cls, recorder: AnswerRecorder) -> "AnswerCache":
-        """Rebuild a cache from a (journal-replayed) answer recorder.
-
-        The journal's ``value`` records and the recorder's value tapes
-        share the cache's key shape (including the optional worker
-        tape), so a crashed serving run's journal replays straight into
-        a warm cache with its provenance intact.
-        """
-        cache = cls()
-        for entry in recorder.to_dict()["values"]:
-            key = (int(entry["object"]), str(entry["attribute"]))
-            cache._answers[key] = _frozen(entry["answers"])
-            if entry.get("workers"):
-                cache._workers[key] = _frozen_workers(entry["workers"])
         return cache
 
 

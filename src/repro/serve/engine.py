@@ -50,18 +50,19 @@ or the journal, provided it keeps that rule.
 Backpressure: at most ``max_queue`` queries may be pending; submissions
 beyond that are **shed** — refused up front with a ``shed``/
 ``overflow`` result and a ``serve.shed`` counter tick, never silently
-dropped.  With ``shed_expired=True`` a query whose deadline has already
-passed when its wave forms is shed as ``shed``/``deadline`` instead of
-being evaluated; the default degrades it rather than shedding.
+dropped.  A query whose deadline passes before evaluation reaches all
+its objects comes back ``degraded``/``deadline`` with its evaluated
+prefix.
 
 Durability: with a ``checkpoint_dir``, every purchased answer is
 journaled write-ahead (``serve.journal.jsonl``) and every completed
 wave checkpoints platform state, cache and finished results
 (``serve.checkpoint.json``, atomic).  Resuming restores the
-checkpoint, then folds the journal's post-checkpoint tail back into
-the cache — re-charging those answers so the ledger matches the
-crashed run — and re-serves finished queries from the checkpoint
-without touching the crowd.
+checkpoint, then replays the journal through
+:func:`~repro.durability.journal.replay_journal` and folds its
+post-checkpoint tail back into the cache — re-charging those answers
+so the ledger matches the crashed run — and re-serves finished
+queries from the checkpoint without touching the crowd.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.quality import WorkerCircuitBreaker
 from repro.durability.checkpoint import CheckpointStore
-from repro.durability.journal import Journal, read_journal
+from repro.durability.journal import Journal, replay_journal
 from repro.errors import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -201,9 +202,6 @@ class ServeEngine:
     chaos:
         Optional :class:`~repro.durability.chaos.CrashInjector`; fires
         at ``serve.*`` phase boundaries and on paid interactions.
-    shed_expired:
-        Shed (rather than degrade) queries whose deadline already
-        passed when their wave formed.
     aggregator:
         Answer-aggregation strategy for the evaluation phase
         (``None`` or uniform keeps the byte-exact mean path).  A
@@ -235,7 +233,6 @@ class ServeEngine:
         fault_clock: SimulatedClock | None = None,
         fault_seed: int | None = None,
         chaos=None,
-        shed_expired: bool = False,
         aggregator: Aggregator | None = None,
         plan_source: Callable[[QueryRequest], Sequence[PreprocessingPlan]]
         | None = None,
@@ -264,7 +261,6 @@ class ServeEngine:
         # under faults, the keys) the batched kernels cannot finish.
         self.stream = DeterministicValueStream(platform, seed)
         self._clock = clock
-        self.shed_expired = shed_expired
         self.chaos = chaos
         if chaos is not None:
             # Paid interactions flow through the platform's charge path.
@@ -371,63 +367,40 @@ class ServeEngine:
         crashed run exactly, and the warm cache means they are never
         re-purchased.
 
-        The journal is read into one per-key index→answer map, then
-        keys are applied in sorted order (the same order the commit
-        phase charges in).
+        The journal is decoded by
+        :func:`~repro.durability.journal.replay_journal` (which refuses
+        contradictory records and index gaps), then keys are applied in
+        sorted order — the same order the commit phase charges in.
         """
-        values: dict[CacheKey, dict[int, float]] = {}
-        workers: dict[CacheKey, dict[int, int]] = {}
-        lost_totals: dict[CacheKey, int] = {}
         path = directory / SERVE_JOURNAL
-        if path.exists():
-            for record in read_journal(path):
-                kind = record.get("kind")
-                if kind == "value":
-                    key = (int(record["object"]), str(record["attribute"]))
-                    index = int(record["index"])
-                    answer = float(record["answer"])
-                    tape = values.setdefault(key, {})
-                    if index in tape and tape[index] != answer:
-                        raise JournalCorruptionError(
-                            f"the serve journal disagrees on {key!r}[{index}]"
-                        )
-                    tape[index] = answer
-                    worker = record.get("worker")
-                    if worker is not None:
-                        workers.setdefault(key, {})[index] = int(worker)
-                elif kind == "lost":
-                    key = (int(record["object"]), str(record["attribute"]))
-                    lost_totals[key] = lost_totals.get(key, 0) + int(record["count"])
+        if not path.exists():
+            return
+        replay = replay_journal(path)
+        foreign = sorted(set(replay.kinds) - {"value", "lost"})
+        if foreign:
+            raise JournalCorruptionError(
+                f"{path} holds {foreign[0]!r} records, which the serving "
+                f"engine never writes"
+            )
         restored = 0
-        for key in sorted(values):
-            indexed = values[key]
-            if sorted(indexed) != list(range(len(indexed))):
-                raise JournalCorruptionError(
-                    f"the serve journal leaves a gap in the tape for {key!r}"
-                )
-            tape = [indexed[index] for index in range(len(indexed))]
+        for key, tape, worker_ids in replay.recorder.attributed_value_tapes():
             object_id, attribute = key
             have = self.cache.count(object_id, attribute)
             if len(tape) <= have:
                 continue
             self.platform.charge_values(attribute, len(tape) - have)
-            worker_tape = workers.get(key)
-            fresh_workers = None
-            if worker_tape is not None and any(
-                index >= have for index in worker_tape
-            ):
-                fresh_workers = [
-                    worker_tape.get(index, UNATTRIBUTED)
-                    for index in range(have, len(tape))
-                ]
+            # A tail the journal never attributed gets no worker tape,
+            # so attribution-free caches keep their snapshot bytes.
+            fresh_workers = worker_ids[have:]
+            if all(worker == UNATTRIBUTED for worker in fresh_workers):
+                fresh_workers = None
             self.cache.add(object_id, attribute, tape[have:], fresh_workers)
-            if self._agg_model is not None:
-                self._observe_agg(key)
+            self._observe_agg(key)
             restored += len(tape) - have
         # Lost-answer records are cursor advances, not purchases: the
         # journal's totals supersede the (older or equal) checkpoint's,
         # so a resumed stream continues past indices retries consumed.
-        for key, count in lost_totals.items():
+        for key, count in replay.lost.items():
             if count > self._lost.get(key, 0):
                 self._lost[key] = count
         self.restored_answers = restored
@@ -645,10 +618,6 @@ class ServeEngine:
                 size = self.wave_size or len(self._queue)
                 wave, self._queue = self._queue[:size], self._queue[size:]
                 self.obs.metrics.gauge("serve.queue.depth", len(self._queue))
-                if self.shed_expired:
-                    wave = self._shed_expired(wave)
-                    if not wave:
-                        continue
                 self._serve_wave(wave)
                 self._checkpoint()
                 self._kill_point("serve.wave")
@@ -678,40 +647,6 @@ class ServeEngine:
         """Chaos hook: crash at a configured ``serve.*`` phase boundary."""
         if self.chaos is not None:
             self.chaos.phase_boundary(phase)
-
-    def _shed_expired(self, wave: list[_Pending]) -> list[_Pending]:
-        """Shed wave members whose deadline passed before serving began.
-
-        Only called when ``shed_expired`` is set: the alternative (and
-        default) posture is to serve such queries degraded.  Shed here
-        costs nothing — the query is dropped before need computation,
-        so it contributes no demand to the wave's purchases.
-        """
-        metrics = self.obs.metrics
-        kept: list[_Pending] = []
-        for pending in wave:
-            deadline = pending.request.deadline_s
-            if (
-                deadline is not None
-                and self._clock() - pending.admitted_at > deadline
-            ):
-                self._results.append(
-                    QueryResult(
-                        query_id=pending.request.query_id,
-                        status="shed",
-                        shed_reason="deadline",
-                    )
-                )
-                metrics.inc("serve.shed")
-                metrics.inc("serve.shed.deadline")
-                self.obs.tracer.event(
-                    "serve.shed",
-                    query=pending.request.query_id,
-                    reason="deadline",
-                )
-            else:
-                kept.append(pending)
-        return kept
 
     def _serve_wave(self, wave: list[_Pending]) -> None:
         metrics = self.obs.metrics

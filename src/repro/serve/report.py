@@ -18,11 +18,12 @@ evaluate, and an optional deadline.  Each produces a
 ``shed``
     The query was refused outright and cost nothing; ``shed_reason``
     distinguishes backpressure (``"overflow"`` — the queue was full at
-    admission), expiry (``"deadline"`` — the deadline had already
-    passed when its wave formed, and the engine was configured to shed
-    rather than degrade such queries), and the admission front door's
-    429-style refusal (``"rejected"`` — the admission layer turned the
-    query away before it ever reached the engine queue).
+    admission) and the admission front door's 429-style refusal
+    (``"rejected"`` — the admission layer turned the query away before
+    it ever reached the engine queue).  ``"deadline"`` is still a legal
+    reason so results from older releases, which could shed a query
+    already past its deadline, keep loading; the engine no longer
+    produces it.
 
 A :class:`ServeReport` aggregates one :meth:`~repro.serve.engine.
 ServeEngine.run` call: all results plus the cache/batching economics

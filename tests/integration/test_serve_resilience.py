@@ -162,6 +162,32 @@ class TestChaosMidWaveResume:
         )
 
 
+    def test_resume_over_damaged_journal_is_a_durability_error(
+        self, tmp_path, queries_path, capsys
+    ):
+        checkpoint_dir = tmp_path / "ckpt"
+        argv = BASE + [
+            "--queries",
+            queries_path,
+            "--checkpoint-dir",
+            checkpoint_dir,
+        ]
+        assert run_cli(argv + ["--chaos-after", 7]) == EXIT_CRASH
+        journal = checkpoint_dir / "serve.journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2
+        # Damage one record in the middle: its checksum no longer holds.
+        lines[1] = lines[1].replace(b'"index":', b'"indey":')
+        journal.write_bytes(b"".join(lines))
+        capsys.readouterr()
+
+        code = run_cli(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIGURATION_ERROR
+        assert "durability error:" in err
+        assert "corrupt journal record" in err
+        assert "resume with:" not in err
+
 class TestAdmissionValidation:
     @pytest.mark.parametrize(
         "flags",

@@ -207,6 +207,25 @@ class TestCliDurability:
         assert payload["durability"]["resumed"] is True
         assert payload["durability"]["journal_records"] > 0
 
+    def test_resume_with_another_budget_is_a_durability_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_CONFIGURATION_ERROR, EXIT_CRASH, main
+
+        checkpoint = str(tmp_path / "ck")
+        assert main(self.PLAN + [
+            "--checkpoint-dir", checkpoint, "--chaos-after", "60",
+        ]) == EXIT_CRASH
+        capsys.readouterr()
+        argv = list(self.PLAN)
+        argv[argv.index("--b-prc") + 1] = "500"
+        code = main(argv + ["--checkpoint-dir", checkpoint, "--resume"])
+        assert code == EXIT_CONFIGURATION_ERROR
+        err = capsys.readouterr().err
+        assert "durability error:" in err
+        # Resuming the same command would fail the same way again.
+        assert "resume with:" not in err
+
     def test_sweep_checkpoint_resume(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -9,7 +9,6 @@ from repro.core.dismantling import (
     DismantleScorer,
     probability_of_new_answer,
 )
-from repro.core.model import Query
 from repro.errors import ConfigurationError
 from tests.unit.test_statistics import build_store
 
@@ -93,27 +92,6 @@ class TestLoss:
 
 
 class TestScoring:
-    def test_score_candidates_and_choose(self):
-        store = build_store(rho=0.8)
-        query = Query.single("t")
-        s_o, s_a, s_c = store.assemble(["a"], "t")
-        objectives = [TargetObjective(1.0, s_o, s_a, s_c)]
-        scorer = DismantleScorer()
-        scores = scorer.score_candidates(
-            stats=store,
-            query=query,
-            candidates=["a"],
-            question_counts={"a": 2},
-            objectives=objectives,
-            costs=np.array([0.4]),
-            budget_cents=4.0,
-            unit_cost=0.4,
-        )
-        assert len(scores) == 1
-        assert scores[0].probability_new == pytest.approx(1 / 4)
-        best = scorer.choose(scores)
-        assert best is scores[0]
-
     def test_choose_empty_returns_none(self):
         assert DismantleScorer.choose([]) is None
 

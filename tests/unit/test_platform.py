@@ -41,13 +41,12 @@ class TestAnswers:
             tiny_domain.true_value(5, "target"), abs=0.5
         )
 
-    def test_ask_value_mean_matches_answers(self, tiny_domain):
+    def test_fork_replays_recorded_value_answers(self, tiny_domain):
         recorder = AnswerRecorder()
         platform_a = CrowdPlatform(tiny_domain, recorder=recorder, seed=0)
         platform_b = platform_a.fork()
         answers = platform_a.ask_value(1, "target", 5)
-        mean = platform_b.ask_value_mean(1, "target", 5)
-        assert mean == pytest.approx(np.mean(answers))
+        assert platform_b.ask_value(1, "target", 5) == answers
 
     def test_example_returns_true_values(self, tiny_platform, tiny_domain):
         object_id, values = tiny_platform.ask_example(("target", "helper"))

@@ -16,7 +16,7 @@ from repro.crowd.pool import WorkerPool
 from repro.crowd.pricing import Budget
 from repro.crowd.quality import WorkerCircuitBreaker
 from repro.crowd.recording import AnswerRecorder
-from repro.crowd.spam import SpamFilter, ZScoreSpamFilter
+from repro.crowd.spam import ZScoreSpamFilter
 from repro.errors import (
     BudgetExhaustedError,
     CrowdFaultError,
@@ -111,28 +111,6 @@ class TestCharging:
         platform.ask_value(0, "target", 3)
         assert platform.budget.spent == pytest.approx(3 * 0.4)
         assert platform.ledger.questions_by_category["value"] == 3
-
-
-# ----------------------------------------------------------------------
-# ask_value_mean NaN guard
-# ----------------------------------------------------------------------
-
-
-class _RejectEverything(SpamFilter):
-    def filter(self, answers):
-        return []
-
-
-class TestValueMeanGuard:
-    def test_empty_filtered_batch_raises_not_nan(self, tiny_domain):
-        platform = make_platform(tiny_domain, spam_filter=_RejectEverything())
-        with pytest.raises(MalformedAnswerError):
-            platform.ask_value_mean(0, "target", 3)
-
-    def test_normal_batch_returns_finite_mean(self, tiny_domain):
-        platform = make_platform(tiny_domain)
-        mean = platform.ask_value_mean(0, "target", 3)
-        assert math.isfinite(mean)
 
 
 # ----------------------------------------------------------------------

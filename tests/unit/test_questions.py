@@ -1,40 +1,6 @@
-"""Unit tests for the question value objects and params helper."""
+"""Unit tests for the ``with_params`` DisQParams override helper."""
 
 import pytest
-
-from repro.crowd.questions import (
-    DismantlingQuestion,
-    ExampleQuestion,
-    Question,
-    ValueQuestion,
-    VerificationQuestion,
-)
-
-
-class TestQuestionKinds:
-    def test_kinds_match_ledger_categories(self):
-        from repro.crowd.pricing import CATEGORIES
-
-        kinds = {
-            ValueQuestion(0, "a").kind,
-            DismantlingQuestion("a").kind,
-            VerificationQuestion("a", "b").kind,
-            ExampleQuestion(("a",)).kind,
-        }
-        assert kinds == set(CATEGORIES)
-
-    def test_questions_are_hashable_value_objects(self):
-        assert ValueQuestion(1, "a") == ValueQuestion(1, "a")
-        assert ValueQuestion(1, "a") != ValueQuestion(2, "a")
-        assert len({DismantlingQuestion("x"), DismantlingQuestion("x")}) == 1
-
-    def test_base_kind_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Question().kind
-
-    def test_example_targets_tuple(self):
-        question = ExampleQuestion(("calories", "protein"))
-        assert question.targets == ("calories", "protein")
 
 
 class TestWithParams:

@@ -54,12 +54,6 @@ class TestAnswerCache:
         assert restored.hits == 3
         assert restored.misses == 2
 
-    def test_from_recorder_imports_value_tapes(self):
-        recorder = AnswerRecorder()
-        recorder.value_answers(3, "a", 0, 2, iter([1.25, 1.75]).__next__)
-        cache = AnswerCache.from_recorder(recorder)
-        assert cache.answers(3, "a", 5).tolist() == [1.25, 1.75]
-
 
 class TestDeterministicValueStream:
     def test_answers_are_pure_functions_of_index(self, tiny_platform):

@@ -1,5 +1,7 @@
 """Unit tests for the serving engine and report objects."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.core.model import (
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.pricing import Budget
 from repro.crowd.recording import AnswerRecorder
-from repro.errors import ConfigurationError
+from repro.durability.journal import Journal
+from repro.errors import ConfigurationError, JournalCorruptionError
 from repro.serve import (
     DegradedResult,
     Predicate,
@@ -379,6 +382,51 @@ class TestServeEngine:
         assert report.result("a").query_id == "a"
         with pytest.raises(ConfigurationError):
             report.result("missing")
+
+
+class TestJournalResumeRefusal:
+    """Resume refuses a serve journal the engine could not have written.
+
+    Each case appends one checksummed record to a crashed wave's
+    journal; resume must raise before it charges or buys anything.
+    """
+
+    def crashed_journal(self, domain, directory) -> Path:
+        crashed, _ = make_engine(domain, checkpoint_dir=directory)
+        crashed.submit(
+            QueryRequest("q1", ("target",), (0, 1)), identity_plan("target", 4)
+        )
+        wave, crashed._queue = crashed._queue[:1], crashed._queue[1:]
+        crashed._serve_wave(wave)  # journaled, never checkpointed
+        crashed.close()
+        return directory / "serve.journal.jsonl"
+
+    def assert_refused(self, domain, directory, path, match: str | None):
+        before = path.read_bytes()
+        platform = CrowdPlatform(domain, recorder=AnswerRecorder(), seed=3)
+        with pytest.raises(JournalCorruptionError, match=match):
+            ServeEngine(platform, checkpoint_dir=directory, resume=True)
+        assert platform.ledger.total_spent == 0.0
+        assert platform.ledger.questions_by_category["value"] == 0
+        assert path.read_bytes() == before
+
+    def test_duplicate_record_with_another_answer(self, tiny_domain, tmp_path):
+        path = self.crashed_journal(tiny_domain, tmp_path)
+        with Journal(path) as journal:
+            journal.record_answer("value", (0, "target"), 1, 1e9)
+        self.assert_refused(tiny_domain, tmp_path, path, None)
+
+    def test_index_gap_in_a_tape(self, tiny_domain, tmp_path):
+        path = self.crashed_journal(tiny_domain, tmp_path)
+        with Journal(path) as journal:
+            journal.record_answer("value", (0, "target"), 5, 1.0)
+        self.assert_refused(tiny_domain, tmp_path, path, "leaves a gap")
+
+    def test_foreign_record_kind(self, tiny_domain, tmp_path):
+        path = self.crashed_journal(tiny_domain, tmp_path)
+        with Journal(path) as journal:
+            journal.record_answer("dismantle", "target", 0, "helper")
+        self.assert_refused(tiny_domain, tmp_path, path, "'dismantle' records")
 
 
 class TestEngineShutdown:

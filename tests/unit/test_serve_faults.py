@@ -19,6 +19,7 @@ from repro.crowd.faults import FaultProfile, RetryPolicy, SimulatedClock
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.quality import WorkerCircuitBreaker
 from repro.crowd.recording import AnswerRecorder
+from repro.durability.chaos import CrashInjector, SimulatedCrash
 from repro.obs import Observability
 from repro.serve import (
     DeterministicValueStream,
@@ -26,6 +27,7 @@ from repro.serve import (
     ResilientValueStream,
     ServeEngine,
 )
+from repro.serve.engine import SERVE_CHECKPOINT
 
 
 def identity_plan(target: str, n_questions: int = 4) -> PreprocessingPlan:
@@ -280,6 +282,46 @@ class TestEngineUnderFaults:
         assert resumed.breaker is not None and engine.breaker is not None
         assert resumed.breaker.state_dict() == engine.breaker.state_dict()
 
+
+    def test_mid_wave_crash_restores_lost_cursor_from_journal(
+        self, tiny_domain, tmp_path
+    ):
+        # A crash inside the commit loop leaves lost-answer records in
+        # the journal that no checkpoint holds.  Resume must rebuild the
+        # cursor from them, or the next purchase would re-draw stream
+        # indices the crashed run's exhausted retries already consumed.
+        retry = RetryPolicy(max_retries=0, question_timeout=0.5)
+        crashed, _ = fault_engine(
+            tiny_domain,
+            faults=HARSH,
+            retry=retry,
+            checkpoint_dir=tmp_path,
+            chaos=CrashInjector(at_interactions=6),
+        )
+        crashed.submit(
+            QueryRequest("q1", ("target",), tuple(range(4))),
+            identity_plan("target", 8),
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        crashed.close()
+        assert crashed._lost, "the crashed wave should have lost answers"
+        assert not (tmp_path / SERVE_CHECKPOINT).exists()
+
+        resumed, _ = fault_engine(
+            tiny_domain,
+            faults=HARSH,
+            retry=retry,
+            checkpoint_dir=tmp_path,
+            resume=True,
+        )
+        resumed.close()
+        assert resumed._lost == crashed._lost
+        # Every answer the crashed run paid for comes back from the
+        # journal, the one whose charge the crash interrupted included.
+        assert resumed.restored_answers == (
+            crashed.platform.ledger.questions_by_category["value"]
+        )
 
 class TestFaultSeedDefaults:
     def test_fault_seed_decorrelated_from_answer_seed(self, tiny_domain):
